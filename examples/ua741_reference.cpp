@@ -1,7 +1,7 @@
 // The paper's flagship example: numerical reference generation for the
 // µA741 operational amplifier's open-loop voltage gain.
 //
-//   $ ./ua741_reference [--sigma=6] [--no-deflation] [--trace] [--live]
+//   $ ./ua741_reference [--sigma=6] [--no-deflation] [--live]
 //
 // Prints the adaptive schedule (scale factors, valid regions, point counts),
 // the assembled coefficient set spanning hundreds of decades, and the
@@ -14,13 +14,9 @@
 #include "circuits/ua741.h"
 #include "refgen/validate.h"
 #include "support/cli.h"
-#include "support/log.h"
 
 int main(int argc, char** argv) {
   const symref::support::CliArgs args(argc, argv);
-  if (args.has("trace")) {
-    symref::support::set_log_level(symref::support::LogLevel::Debug);
-  }
 
   const symref::api::Service service;
   const auto compiled = service.compile(symref::circuits::ua741(), "ua741");

@@ -268,11 +268,13 @@ Json Session::dispatch(const Json& request) {
         writer->write(event);
         // Persist after the client saw its event. Only clean computed
         // results are stored: not errors, not store replays (raw), not
-        // degraded references or transients (a later healthy run should
-        // replace them), not batches (they can embed per-item failures).
+        // degraded references, sweeps or transients (a later healthy run
+        // should replace them), not batches (they can embed per-item
+        // failures).
         if (store != nullptr && !key.empty() && outcome.status.ok() &&
             outcome.raw.is_null() && outcome.type != AnyRequest::Type::kBatch &&
             !(outcome.type == AnyRequest::Type::kRefgen && outcome.refgen.result.degraded) &&
+            !(outcome.type == AnyRequest::Type::kSweep && outcome.sweep.degraded) &&
             !(outcome.type == AnyRequest::Type::kTransient &&
               outcome.transient.result.degraded)) {
           store->put(key, to_json(outcome).dump());

@@ -72,6 +72,9 @@ struct SweepRequest {
 
 struct SweepResponse {
   std::vector<mna::BodePoint> points;
+  /// Some point was factored on a pivot rung below the default (or replayed
+  /// a plan recorded on one): values are usable, pivot quality reduced.
+  bool degraded = false;
   bool from_cache = false;
   double seconds = 0.0;
 };

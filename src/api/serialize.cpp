@@ -300,6 +300,7 @@ Json to_json(const SweepResponse& response) {
   Json out = envelope("sweep", Status());
   out.set("from_cache", response.from_cache);
   out.set("seconds", response.seconds);
+  out.set("degraded", response.degraded);
   Json points = Json::array();
   for (const mna::BodePoint& point : response.points) {
     Json entry = Json::object();

@@ -197,10 +197,10 @@ struct CompiledCircuit {
   std::atomic<std::uint64_t> cache_hits{0};
   std::atomic<std::uint64_t> cache_misses{0};
   std::atomic<std::uint64_t> cache_evictions{0};
-  /// Refgen responses that completed through the degradation ladder
-  /// (Service::engine_stats). Per-spec factorization counters live on the
-  /// cached evaluators; this one is response-level so cache hits of a
-  /// degraded result do not re-count.
+  /// Refgen, sweep and transient responses that completed on an escalated
+  /// pivot rung (Service::engine_stats). Per-spec factorization counters
+  /// live on the cached evaluators and simulators; this one is
+  /// response-level so cache hits of a degraded result do not re-count.
   std::atomic<std::uint64_t> degraded_responses{0};
   /// Simplify workload counters (Service::engine_stats). Response-level so
   /// cache hits do not re-count, like degraded_responses.
@@ -463,6 +463,8 @@ Result<SweepResponse> Service::sweep(const CircuitHandle& handle,
     response.points = entry->simulator->bode(request.spec, request.f_start_hz,
                                              request.f_stop_hz, request.points_per_decade,
                                              request.threads, request.cancel, request.kernel);
+    response.degraded = entry->simulator->last_call_degraded();
+    if (response.degraded) compiled.degraded_responses.fetch_add(1, std::memory_order_relaxed);
     response.seconds = timer.seconds();
     if (options_.cache_responses) {
       compiled.cache_evictions.fetch_add(entry->sweep_cache.insert(key, response),
@@ -739,6 +741,10 @@ Result<EngineStats> Service::engine_stats(const CircuitHandle& handle) const {
   }
   for (const std::shared_ptr<SpecEntry>& entry : entries) {
     const std::lock_guard<std::mutex> lock(entry->mutex);
+    if (entry->simulator) {
+      stats.fresh_factorizations += entry->simulator->counters().fresh_factorizations;
+      stats.pivot_escalations += entry->simulator->counters().pivot_escalations;
+    }
     if (!entry->evaluator) continue;
     stats.fresh_factorizations += entry->evaluator->fresh_factor_count();
     stats.pivot_escalations += entry->evaluator->pivot_escalation_count();

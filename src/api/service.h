@@ -76,12 +76,14 @@ struct CacheStats {
 /// Numeric-robustness counters of one handle (all specs combined) since
 /// compile — the telemetry face of the degradation ladder. Monotonic.
 struct EngineStats {
-  /// Refused plan replays that fell back to a fresh factorization.
+  /// Fresh factorizations (a plan's first, and every refused replay's) of
+  /// the reference evaluators, sweep simulators, bias solve and transients.
   std::uint64_t fresh_factorizations = 0;
-  /// Fresh factorizations that only succeeded after relaxing the pivot
-  /// threshold (the corresponding samples are flagged `degraded`).
+  /// Fresh factorizations that only succeeded on a pivot rung below their
+  /// caller's start (sparse::PivotRung; the results are flagged `degraded`).
   std::uint64_t pivot_escalations = 0;
-  /// refgen() responses whose result carried the `degraded` flag.
+  /// refgen(), sweep() and transient() responses whose result carried the
+  /// `degraded` flag.
   std::uint64_t degraded_responses = 0;
   /// Supernodes detected across the handle's current factorization plans
   /// (sum over the cached per-spec evaluators; see sparse/batched.h). A

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <complex>
-#include <map>
-#include <memory>
 #include <sstream>
 
 #include "dc/stamps.h"
@@ -25,19 +21,8 @@ using netlist::ElementKind;
 using sparse::PatternStamp;
 
 // The stamping machinery (Layout, build_layout, stamp_device, junction
-// limiting, factor_with_ladder) lives in dc/stamps.{h,cpp}, shared with the
+// limiting, newton_update) lives in dc/stamps.{h,cpp}, shared with the
 // transient integrator.
-
-namespace {
-
-struct StageTelemetry {
-  int iterations = 0;
-  std::uint64_t fresh_factors = 0;
-  std::uint64_t escalations = 0;
-  bool degraded = false;
-};
-
-}  // namespace
 
 OpSolver::OpSolver(OpOptions options) : options_(std::move(options)) {}
 
@@ -60,11 +45,12 @@ OpResult OpSolver::solve(const Circuit& circuit) {
   std::vector<PatternStamp> stamps;
   std::vector<double> rhs(dim, 0.0);
   std::vector<std::complex<double>> rhs_c(dim);
-  StageTelemetry telemetry;
+  const NewtonLimits limits{options_.max_voltage_step, options_.reltol, options_.abstol_v,
+                            options_.abstol_i};
+  int iterations = 0;
+  sparse::FactorCounters counters;
+  bool degraded = false;
   bool plan_degraded = false;
-  // Hidden diagnostic: SYMREF_DC_TRACE=1 prints one line per Newton
-  // iteration (stage, step norm, worst unknown, limited junctions).
-  const bool trace = std::getenv("SYMREF_DC_TRACE") != nullptr;
 
   auto reset_start = [&] {
     std::fill(x.begin(), x.end(), 0.0);
@@ -77,7 +63,7 @@ OpResult OpSolver::solve(const Circuit& circuit) {
     bool converged = false;
     for (int iter = 0; iter < options_.max_iterations; ++iter) {
       if (options_.cancel.cancelled()) throw support::CancelledError();
-      ++telemetry.iterations;
+      ++iterations;
 
       // Assemble: base stamps + device companions at the current state.
       stamps.assign(layout.base_stamps.begin(), layout.base_stamps.end());
@@ -92,82 +78,25 @@ OpResult OpSolver::solve(const Circuit& circuit) {
         // New merged structure (first solve, or a different circuit): a
         // fresh pattern invalidates any recorded plan.
         assembly_ = sparse::PatternedMatrix(layout.dim, stamps);
-        has_pattern_ = false;
       }
       const sparse::CompressedMatrix& matrix = assembly_.assemble(0.0);
 
       // Factor: replay the recorded plan; fresh factorization only when the
-      // replay is refused (or the newton_step fault site fires), through the
-      // same escalation ladder the AC evaluators use.
-      const bool refused =
-          !has_pattern_ || !lu_.has_plan() || support::fault("newton_step") ||
-          !lu_.refactor(matrix);
-      if (refused) {
-        bool degraded = false;
-        if (!factor_with_ladder(lu_, matrix, &degraded)) {
-          throw mna::SingularSystemError(
-              "dc: singular Jacobian (floating node or degenerate DC path?)");
-        }
-        ++telemetry.fresh_factors;
-        if (degraded) ++telemetry.escalations;
-        plan_degraded = degraded;
-        has_pattern_ = true;
+      // replay is refused, or when the newton_step fault site forces one on
+      // a replayable iterate.
+      const bool forced = lu_.can_replay(matrix) && support::fault("newton_step");
+      const sparse::FactorOutcome outcome = sparse::replay_or_factor(
+          lu_, lu_, matrix, sparse::PivotRung::kLoose, &counters, !forced);
+      if (outcome == sparse::FactorOutcome::kSingular) {
+        throw mna::SingularSystemError(
+            "dc: singular Jacobian (floating node or degenerate DC path?)");
       }
-      telemetry.degraded = telemetry.degraded || plan_degraded;
-
-      for (std::size_t i = 0; i < dim; ++i) rhs_c[i] = rhs[i];
-      lu_.solve(rhs_c);
-
-      // Damped acceptance: per-component clamp on the node-voltage step.
-      bool clamped = false;
-      double max_rel = 0.0;
-      std::size_t worst = 0;
-      for (std::size_t i = 0; i < dim; ++i) {
-        const double x_new = rhs_c[i].real();
-        double delta = x_new - x[i];
-        if (i < static_cast<std::size_t>(layout.node_rows) &&
-            std::fabs(delta) > options_.max_voltage_step) {
-          delta = delta > 0 ? options_.max_voltage_step : -options_.max_voltage_step;
-          clamped = true;
-        }
-        const double accepted = x[i] + delta;
-        const double abstol =
-            i < static_cast<std::size_t>(layout.node_rows) ? options_.abstol_v : options_.abstol_i;
-        const double tol =
-            abstol + options_.reltol * std::max(std::fabs(accepted), std::fabs(x[i]));
-        if (std::fabs(delta) / tol > max_rel) worst = i;
-        max_rel = std::max(max_rel, std::fabs(delta) / tol);
-        x[i] = accepted;
+      if (outcome != sparse::FactorOutcome::kReplayed) {
+        plan_degraded = outcome == sparse::FactorOutcome::kDegraded;
       }
+      degraded = degraded || plan_degraded;
 
-      // Junction limiting against the previous evaluation point.
-      bool limited = false;
-      std::string limited_names;
-      for (std::size_t i = 0; i < layout.devices.size(); ++i) {
-        const DeviceState proposed = proposed_state(*layout.devices[i], x, layout);
-        bool this_limited = false;
-        state[i] = limit_state(*layout.devices[i], proposed, state[i], &this_limited);
-        if (this_limited) {
-          limited = true;
-          if (trace) {
-            limited_names += ' ';
-            limited_names += layout.devices[i]->name;
-          }
-        }
-      }
-      if (trace) {
-        std::fprintf(stderr,
-                     "dc-trace: gmin=%.1e alpha=%.2f iter=%d max_rel=%.3e worst=%s "
-                     "x[worst]=%.6g clamped=%d limited=[%s]\n",
-                     gmin, alpha, iter, max_rel,
-                     worst < static_cast<std::size_t>(layout.node_rows)
-                         ? result.node_names[worst].c_str()
-                         : layout.branch_names[worst - static_cast<std::size_t>(layout.node_rows)]
-                               .c_str(),
-                     x[worst], clamped ? 1 : 0, limited_names.c_str());
-      }
-
-      if (!clamped && !limited && max_rel <= 1.0 && iter > 0) {
+      if (newton_update(lu_, rhs, layout, limits, rhs_c, x, state) && iter > 0) {
         converged = true;
         break;
       }
@@ -209,18 +138,17 @@ OpResult OpSolver::solve(const Circuit& circuit) {
     converged = ramp_ok;
   }
 
-  result.newton_iterations = telemetry.iterations;
+  result.newton_iterations = iterations;
   result.gmin_steps = gmin_steps;
   result.source_steps = source_steps;
-  fresh_factors_ += telemetry.fresh_factors;
-  escalations_ += telemetry.escalations;
-  result.fresh_factorizations = telemetry.fresh_factors;
-  result.pivot_escalations = telemetry.escalations;
-  result.degraded = telemetry.degraded;
+  counters_ += counters;
+  result.fresh_factorizations = counters.fresh_factorizations;
+  result.pivot_escalations = counters.pivot_escalations;
+  result.degraded = degraded;
 
   if (!converged) {
     std::ostringstream os;
-    os << "dc: no convergence after " << telemetry.iterations << " Newton iterations ("
+    os << "dc: no convergence after " << iterations << " Newton iterations ("
        << gmin_steps << " gmin steps, " << source_steps << " source steps)";
     throw NoConvergenceError(os.str());
   }

@@ -12,8 +12,8 @@
 //   SparseLu::refactor       (numeric replay of the one recorded plan)
 //
 // and a fresh Markowitz factorization happens exactly once per pattern — or
-// again only on the degradation ladder when a replay is refused (mirroring
-// CofactorEvaluator's escalation policy). An OpSolver instance keeps its
+// again only when a replay is refused, through sparse::replay_or_factor
+// starting at the kLoose pivot rung. An OpSolver instance keeps its
 // plan across solve() calls, so a parameter sweep re-solving the bias point
 // per sample replays one plan for the whole sweep.
 //
@@ -114,16 +114,18 @@ class OpSolver {
 
   /// Fresh Markowitz factorizations performed over this solver's lifetime
   /// (the probe the one-shared-plan tests assert on).
-  [[nodiscard]] std::uint64_t fresh_factor_count() const noexcept { return fresh_factors_; }
-  [[nodiscard]] std::uint64_t pivot_escalation_count() const noexcept { return escalations_; }
+  [[nodiscard]] std::uint64_t fresh_factor_count() const noexcept {
+    return counters_.fresh_factorizations;
+  }
+  [[nodiscard]] std::uint64_t pivot_escalation_count() const noexcept {
+    return counters_.pivot_escalations;
+  }
 
  private:
   OpOptions options_;
   sparse::PatternedMatrix assembly_;
   sparse::SparseLu lu_;
-  bool has_pattern_ = false;
-  std::uint64_t fresh_factors_ = 0;
-  std::uint64_t escalations_ = 0;
+  sparse::FactorCounters counters_;
 };
 
 /// One-shot convenience wrapper around OpSolver.

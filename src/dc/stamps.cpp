@@ -1,5 +1,7 @@
 #include "dc/stamps.h"
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <stdexcept>
 
@@ -13,22 +15,6 @@ using netlist::DeviceKind;
 using netlist::Element;
 using netlist::ElementKind;
 using sparse::PatternStamp;
-
-bool factor_with_ladder(sparse::SparseLu& lu, const sparse::CompressedMatrix& matrix,
-                        bool* degraded) {
-  *degraded = false;
-  sparse::SparseLuOptions loose;
-  loose.pivot_threshold = 1e-6;
-  if (lu.factor(matrix, loose)) return true;
-  sparse::SparseLuOptions relaxed;
-  relaxed.pivot_threshold = 0.0;
-  relaxed.singularity_tolerance = 0.0;
-  if (lu.factor(matrix, relaxed)) {
-    *degraded = true;
-    return true;
-  }
-  return false;
-}
 
 void stamp_conductance(std::vector<PatternStamp>& stamps, int ra, int rb, double g) {
   if (ra >= 0) stamps.push_back({ra, ra, g, 0.0});
@@ -273,6 +259,36 @@ DeviceState limit_state(const Device& d, const DeviceState& proposed, const Devi
       break;
   }
   return next;
+}
+
+bool newton_update(const sparse::SparseLu& lu, const std::vector<double>& rhs,
+                   const Layout& layout, const NewtonLimits& limits,
+                   std::vector<std::complex<double>>& scratch, std::vector<double>& x,
+                   std::vector<DeviceState>& state) {
+  const std::size_t node_rows = static_cast<std::size_t>(layout.node_rows);
+  scratch.assign(rhs.begin(), rhs.end());
+  lu.solve(scratch);
+  bool clamped = false;
+  double max_rel = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    double delta = scratch[i].real() - x[i];
+    if (i < node_rows && std::fabs(delta) > limits.max_voltage_step) {
+      delta = delta > 0 ? limits.max_voltage_step : -limits.max_voltage_step;
+      clamped = true;
+    }
+    const double accepted = x[i] + delta;
+    const double abstol = i < node_rows ? limits.abstol_v : limits.abstol_i;
+    const double tol = abstol + limits.reltol * std::max(std::fabs(accepted), std::fabs(x[i]));
+    max_rel = std::max(max_rel, std::fabs(delta) / tol);
+    x[i] = accepted;
+  }
+  // Junction limiting against the previous evaluation point.
+  bool limited = false;
+  for (std::size_t i = 0; i < layout.devices.size(); ++i) {
+    const DeviceState proposed = proposed_state(*layout.devices[i], x, layout);
+    state[i] = limit_state(*layout.devices[i], proposed, state[i], &limited);
+  }
+  return !clamped && !limited && max_rel <= 1.0;
 }
 
 }  // namespace symref::dc

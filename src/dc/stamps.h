@@ -7,11 +7,13 @@
 // (row, col) sequence — and with it the merged structure and the recorded
 // symbolic plan — is pinned across iterations. This header extracts that
 // machinery (row assignment, linear stamps, device companion stamps, junction
-// limiting and the escalating-pivot factorization ladder) out of the Newton
-// solver so the transient integrator reuses it verbatim instead of forking a
-// second copy of the stamp conventions.
+// limiting and the damped Newton update) out of the Newton solver so the
+// transient integrator reuses it verbatim instead of forking a second copy
+// of the stamp conventions. Both factor through sparse::replay_or_factor
+// starting at sparse::PivotRung::kLoose.
 #pragma once
 
+#include <complex>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,23 +23,6 @@
 #include "sparse/matrix.h"
 
 namespace symref::dc {
-
-/// Escalating-pivot fresh factorization, mirroring CofactorEvaluator's
-/// ladder so DC, transient and AC degrade with the same policy.
-///
-/// The Newton Jacobian is a far harsher replay customer than an AC sweep: a
-/// junction conductance swings from ~1 S (forward bias) to gmin = 1e-12 S
-/// (cut off) between iterations, 12 decades, while an AC point moves values
-/// by fractions of a decade. Factoring at the default 1e-3 threshold would
-/// put the replay acceptance bar at 1e-8 relative
-/// (kReplayRelaxedThresholdScale) and the off-state transients of a
-/// realistic deck refuse it mid-flight, costing the one-plan guarantee. A
-/// 1e-6 factor threshold drops the bar to 1e-11: every transient still
-/// replays, mid-flight steps lose some accuracy Newton self-corrects anyway,
-/// and the converged iterate sits near the well-conditioned on-state the
-/// plan was recorded at.
-bool factor_with_ladder(sparse::SparseLu& lu, const sparse::CompressedMatrix& matrix,
-                        bool* degraded);
 
 /// Per-device Newton state: the (limited) junction voltages the companion
 /// models were last evaluated at, in the positive-polarity model frame.
@@ -123,5 +108,24 @@ DeviceState initial_state(const netlist::Device& d);
 /// pass through (polynomial model, handled by the global damping clamp).
 DeviceState limit_state(const netlist::Device& d, const DeviceState& proposed,
                         const DeviceState& old, bool* limited);
+
+/// Step-acceptance limits of one damped Newton iteration.
+struct NewtonLimits {
+  double max_voltage_step = 0.0;  // per-node step clamp [V]
+  double reltol = 0.0;            // per-unknown relative tolerance
+  double abstol_v = 0.0;          // node-row absolute tolerance [V]
+  double abstol_i = 0.0;          // branch-row absolute tolerance [A]
+};
+
+/// The damped Newton update of the DC and transient solvers: solve the
+/// factored system for `rhs` (through `scratch`), clamp each node-voltage
+/// step to +-max_voltage_step, move `x` onto the accepted iterate and
+/// re-limit every device's junctions against `state`. Returns true when
+/// nothing was clamped or limited and every unknown moved within
+/// abstol + reltol * max(|new|, |old|).
+bool newton_update(const sparse::SparseLu& lu, const std::vector<double>& rhs,
+                   const Layout& layout, const NewtonLimits& limits,
+                   std::vector<std::complex<double>>& scratch, std::vector<double>& x,
+                   std::vector<DeviceState>& state);
 
 }  // namespace symref::dc

@@ -75,7 +75,8 @@ AcSimulator::SpecCache& AcSimulator::prepare(const TransferSpec& spec) const {
 std::complex<double> AcSimulator::solve_point(const SpecCache& cache, MnaAssembler& assembler,
                                               sparse::SparseLu& lu,
                                               std::vector<std::complex<double>>& rhs,
-                                              bool persist_plan, std::complex<double> s) const {
+                                              bool persist_plan, std::complex<double> s,
+                                              Tally& tally) const {
   rhs.assign(static_cast<std::size_t>(assembler.dim()), std::complex<double>());
   if (cache.drive_branch >= 0) {
     rhs[static_cast<std::size_t>(cache.drive_branch)] = 1.0;
@@ -84,20 +85,24 @@ std::complex<double> AcSimulator::solve_point(const SpecCache& cache, MnaAssembl
     if (cache.in_neg_row >= 0) rhs[static_cast<std::size_t>(cache.in_neg_row)] -= 1.0;
   }
 
-  // Pattern-cached assembly, then the plan replay; a fresh Markowitz
-  // factorization only when there is no plan yet or the reused pivots
-  // degraded at this point.
+  // Pattern-cached assembly, then the plan replay; a fresh factorization
+  // only when there is no plan yet or the reused pivots degraded at this
+  // point.
   const sparse::CompressedMatrix& matrix = assembler.assemble(s);
-  const sparse::SparseLu* solver = &lu;
   sparse::SparseLu throwaway;
-  if (!lu.refactor(matrix)) {
-    sparse::SparseLu& fresh = persist_plan ? lu : throwaway;
-    if (!fresh.factor(matrix)) {
-      throw SingularSystemError("AcSimulator: singular MNA system");
-    }
-    solver = &fresh;
+  sparse::SparseLu& fresh = persist_plan ? lu : throwaway;
+  const sparse::FactorOutcome outcome =
+      sparse::replay_or_factor(lu, fresh, matrix, sparse::PivotRung::kDefault,
+                               &tally.counters);
+  if (outcome == sparse::FactorOutcome::kSingular) {
+    throw SingularSystemError("AcSimulator: singular MNA system");
   }
-  solver->solve(rhs);
+  const bool replayed = outcome == sparse::FactorOutcome::kReplayed;
+  // A persisted plan carries its rung to every later replay of it.
+  if (persist_plan && !replayed) cache.plan_degraded = outcome == sparse::FactorOutcome::kDegraded;
+  tally.degraded = tally.degraded || (replayed ? cache.plan_degraded
+                                               : outcome == sparse::FactorOutcome::kDegraded);
+  (replayed ? lu : fresh).solve(rhs);
 
   auto voltage = [&](int row) -> std::complex<double> {
     return row < 0 ? std::complex<double>(0.0, 0.0) : rhs[static_cast<std::size_t>(row)];
@@ -109,7 +114,12 @@ std::complex<double> AcSimulator::transfer_s(const TransferSpec& spec,
                                              std::complex<double> s) const {
   SpecCache& cache = prepare(spec);
   std::vector<std::complex<double>> rhs;
-  return solve_point(cache, *cache.assembler, cache.lu, rhs, /*persist_plan=*/true, s);
+  Tally tally;
+  const std::complex<double> value =
+      solve_point(cache, *cache.assembler, cache.lu, rhs, /*persist_plan=*/true, s, tally);
+  counters_ += tally.counters;
+  last_degraded_ = tally.degraded;
+  return value;
 }
 
 std::complex<double> AcSimulator::transfer(const TransferSpec& spec, double frequency_hz) const {
@@ -144,19 +154,23 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
   // (or refreshing) the factorization plan every other point replays.
   std::vector<std::complex<double>> values(grid.size());
   std::vector<std::complex<double>> rhs;
+  Tally tally;
   values[0] = solve_point(cache, *cache.assembler, cache.lu, rhs, /*persist_plan=*/true,
-                          s_of(grid[0]));
+                          s_of(grid[0]), tally);
+  counters_ += tally.counters;
+  last_degraded_ = tally.degraded;
 
   if (grid.size() > 1) {
     // Per-lane clones: pattern-cached assembler values + SparseLu numeric
     // workspace, sharing the immutable symbolic plan. Non-persisting
     // fallback keeps every point a pure function of (plan, frequency), so
-    // the sweep is bit-identical at any thread count — the single-lane path
-    // below is the same code with one clone.
+    // the sweep — and the summed lane tallies — are identical at any thread
+    // count; the single-lane path below is the same code with one clone.
     struct Lane {
       MnaAssembler assembler;
       sparse::SparseLu lu;
       std::vector<std::complex<double>> rhs;
+      Tally tally;
       // Batched-kernel state (unused under kScalar): the SoA replay bound
       // to the cache's plan, its solve buffer and the group's s values.
       sparse::BatchedReplay replay;
@@ -173,7 +187,7 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
     std::vector<Lane> lanes;
     lanes.reserve(static_cast<std::size_t>(lane_count));
     for (int i = 0; i < lane_count; ++i) {
-      lanes.push_back(Lane{*cache.assembler, cache.lu, {}, {}, {}, {}});
+      lanes.push_back(Lane{*cache.assembler, cache.lu, {}, {}, {}, {}, {}});
     }
     auto body = [&](std::size_t begin, std::size_t end, int lane) {
       Lane& state = lanes[static_cast<std::size_t>(lane)];
@@ -182,7 +196,7 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
         // CancelledError and abandons the remaining chunks.
         if (cancel.cancelled()) throw support::CancelledError();
         values[i + 1] = solve_point(cache, state.assembler, state.lu, state.rhs,
-                                    /*persist_plan=*/false, s_of(grid[i + 1]));
+                                    /*persist_plan=*/false, s_of(grid[i + 1]), state.tally);
       }
     };
 
@@ -192,11 +206,8 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
     // assembler but costs nothing to check) the sweep falls back to the
     // scalar body, which is bit-identical anyway.
     const auto plan = cache.lu.plan();
-    const sparse::CompressedMatrix& pattern = cache.assembler->pattern();
-    const bool batched = kernel == sparse::ReplayKernel::kBatched && plan != nullptr &&
-                         pattern.dim == plan->dim &&
-                         pattern.row_start == plan->pattern_row_start &&
-                         pattern.cols == plan->pattern_cols;
+    const bool batched = kernel == sparse::ReplayKernel::kBatched &&
+                         cache.lu.can_replay(cache.assembler->pattern());
     const int width = static_cast<int>(std::min<std::size_t>(
         static_cast<std::size_t>(sparse::kDefaultBatchWidth), grid.size() - 1));
     auto batched_body = [&](std::size_t begin, std::size_t end, int lane) {
@@ -244,30 +255,13 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
                 voltage(cache.out_pos_row) - voltage(cache.out_neg_row);
             continue;
           }
-          // Refused lane: the exact scalar refusal branch of solve_point
-          // with persist_plan == false — a throwaway fresh factorization of
-          // this point alone (no second replay attempt: the lane's refusal
-          // IS the refactor refusal).
-          const sparse::CompressedMatrix& matrix =
-              state.assembler.assemble(state.s_values[static_cast<std::size_t>(l)]);
-          state.rhs.assign(static_cast<std::size_t>(dim), std::complex<double>());
-          if (cache.drive_branch >= 0) {
-            state.rhs[static_cast<std::size_t>(cache.drive_branch)] = 1.0;
-          } else {
-            if (cache.in_pos_row >= 0) state.rhs[static_cast<std::size_t>(cache.in_pos_row)] += 1.0;
-            if (cache.in_neg_row >= 0) state.rhs[static_cast<std::size_t>(cache.in_neg_row)] -= 1.0;
-          }
-          sparse::SparseLu throwaway;
-          if (!throwaway.factor(matrix)) {
-            throw SingularSystemError("AcSimulator: singular MNA system");
-          }
-          throwaway.solve(state.rhs);
-          auto voltage = [&](int row) -> std::complex<double> {
-            return row < 0 ? std::complex<double>(0.0, 0.0)
-                           : state.rhs[static_cast<std::size_t>(row)];
-          };
+          // Refused lane: the scalar path against a plan-less instance, so
+          // there is no second replay attempt (the lane's refusal IS the
+          // refactor refusal) and the fresh factorization is a throwaway.
+          sparse::SparseLu no_plan;
           values[at + 1 + static_cast<std::size_t>(l)] =
-              voltage(cache.out_pos_row) - voltage(cache.out_neg_row);
+              solve_point(cache, state.assembler, no_plan, state.rhs, /*persist_plan=*/false,
+                          state.s_values[static_cast<std::size_t>(l)], state.tally);
         }
       }
     };
@@ -279,6 +273,10 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
     } else {
       support::ThreadPool pool(lane_count);
       pool.parallel_for(grid.size() - 1, run);
+    }
+    for (const Lane& lane : lanes) {
+      counters_ += lane.tally.counters;
+      last_degraded_ = last_degraded_ || lane.tally.degraded;
     }
   }
 

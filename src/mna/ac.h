@@ -39,7 +39,8 @@ class AcSimulator {
 
   /// Complex transfer value at a frequency. A VoltageGain spec drives the
   /// input pair with an ideal 1 V source; Transimpedance injects 1 A.
-  /// Throws mna::SingularSystemError when the MNA system is singular and
+  /// Throws mna::SingularSystemError when the MNA system is singular at
+  /// every pivot rung (sparse::PivotRung, starting at kDefault) and
   /// mna::SpecError when the spec names unknown nodes (see mna/errors.h).
   ///
   /// The driven circuit and its assembler are built once per TransferSpec
@@ -88,6 +89,16 @@ class AcSimulator {
                                             sparse::ReplayKernel kernel =
                                                 sparse::ReplayKernel::kScalar) const;
 
+  /// Fresh factorizations and pivot escalations of every point this
+  /// simulator has solved, parallel lanes included. Each point's outcome
+  /// depends only on (plan, frequency), so the totals do not depend on the
+  /// thread count.
+  [[nodiscard]] const sparse::FactorCounters& counters() const noexcept { return counters_; }
+
+  /// True when the last transfer()/bode() call factored some point on a
+  /// rung below the default, or replayed a plan recorded on one.
+  [[nodiscard]] bool last_call_degraded() const noexcept { return last_degraded_; }
+
  private:
   /// Per-spec sweep state: the drive-augmented circuit copy, its assembler
   /// (pattern-cached) and the reusable factorization plan.
@@ -96,6 +107,8 @@ class AcSimulator {
     netlist::Circuit work;
     std::unique_ptr<MnaAssembler> assembler;  // references `work`
     sparse::SparseLu lu;
+    /// True while `lu` holds a plan factored on an escalated pivot rung.
+    mutable bool plan_degraded = false;
     int drive_branch = -1;  // VoltageGain: row of the 1 V drive constraint
     int in_pos_row = -1;    // Transimpedance: injection rows (-1 = ground)
     int in_neg_row = -1;
@@ -103,21 +116,29 @@ class AcSimulator {
     int out_neg_row = -1;
   };
 
+  /// Factorization outcome of the points one lane (or the caller) solved.
+  struct Tally {
+    sparse::FactorCounters counters;
+    bool degraded = false;
+  };
+
   SpecCache& prepare(const TransferSpec& spec) const;
 
   /// One point with an explicit assembler + LU (the cache's own, or a
-  /// per-lane clone). Refactors against the existing plan; on refusal either
-  /// persists a fresh factorization in `lu` (persist_plan — the serial
-  /// cache path) or keeps the plan and factors a throwaway instance (the
-  /// parallel lanes).
+  /// per-lane clone). Replays the existing plan; on refusal either persists
+  /// a fresh factorization in `lu` (persist_plan — the serial cache path)
+  /// or keeps the plan and factors a throwaway instance (the parallel
+  /// lanes). The outcome is added to `tally`.
   [[nodiscard]] std::complex<double> solve_point(const SpecCache& cache,
                                                  MnaAssembler& assembler, sparse::SparseLu& lu,
                                                  std::vector<std::complex<double>>& rhs,
-                                                 bool persist_plan,
-                                                 std::complex<double> s) const;
+                                                 bool persist_plan, std::complex<double> s,
+                                                 Tally& tally) const;
 
   const netlist::Circuit& circuit_;
   mutable std::unique_ptr<SpecCache> cache_;
+  mutable sparse::FactorCounters counters_;
+  mutable bool last_degraded_ = false;
 };
 
 /// Log-spaced frequency grid [f_start, f_stop], >= 2 points.

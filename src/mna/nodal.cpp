@@ -175,21 +175,19 @@ void CofactorEvaluator::rebind(const NodalSystem& system) {
 CofactorEvaluator::Sample CofactorEvaluator::evaluate(std::complex<double> s_hat,
                                                       double f_scale, double g_scale) const {
   // Pattern-cached assembly (values rewritten in place), then static-pivot
-  // refactorization (same pattern across points); fall back to a full
-  // Markowitz factorization when the reused pivots degrade. The fallback
-  // persists its plan in lu_, so later points (and batches) replay it.
+  // refactorization (same pattern across points); a refused replay factors
+  // afresh INTO lu_, so later points (and batches) replay the new plan.
   const sparse::CompressedMatrix& compressed = assembly_.assemble(s_hat, f_scale, g_scale);
-  if (!lu_.refactor(compressed)) {
-    ++fresh_factor_count_;
-    bool degraded = false;
-    if (!factor_with_ladder(lu_, compressed, &degraded)) {
-      return Sample{};  // singular at this point; caller will retry/adjust
-    }
-    if (degraded) ++pivot_escalation_count_;
-    // The persisted plan inherits the escalation: replays of a degraded
-    // plan are flagged too (plan_degraded_ clears when a default-threshold
-    // factorization re-establishes a healthy plan).
-    plan_degraded_ = degraded;
+  const sparse::FactorOutcome outcome =
+      sparse::replay_or_factor(lu_, lu_, compressed, sparse::PivotRung::kDefault, &counters_);
+  if (outcome == sparse::FactorOutcome::kSingular) {
+    return Sample{};  // singular at this point; caller will retry/adjust
+  }
+  // The persisted plan inherits the escalation: replays of a degraded plan
+  // are flagged too, until a default-rung factorization re-establishes a
+  // healthy plan.
+  if (outcome != sparse::FactorOutcome::kReplayed) {
+    plan_degraded_ = outcome == sparse::FactorOutcome::kDegraded;
   }
   std::vector<std::complex<double>> rhs;
   Sample sample = finish_sample(lu_, rhs);
@@ -200,83 +198,33 @@ CofactorEvaluator::Sample CofactorEvaluator::evaluate(std::complex<double> s_hat
 CofactorEvaluator::Sample CofactorEvaluator::evaluate_pinned(std::complex<double> s_hat,
                                                              double f_scale,
                                                              double g_scale) const {
-  const sparse::CompressedMatrix& compressed = assembly_.assemble(s_hat, f_scale, g_scale);
   std::vector<std::complex<double>> rhs;
-  if (lu_.refactor(compressed)) {
-    Sample sample = finish_sample(lu_, rhs);
-    sample.degraded = plan_degraded_;
-    return sample;
-  }
-  // Refused replay: fresh Markowitz factorization on a throwaway instance,
-  // leaving the member plan pinned for the next point/sample.
-  ++fresh_factor_count_;
+  return evaluate_against(assembly_, lu_, rhs, &counters_, s_hat, f_scale, g_scale);
+}
+
+CofactorEvaluator::Sample CofactorEvaluator::evaluate_against(
+    PatternedMatrix& assembly, sparse::SparseLu& lu, std::vector<std::complex<double>>& rhs,
+    sparse::FactorCounters* counters, std::complex<double> s_hat, double f_scale,
+    double g_scale) const {
+  const sparse::CompressedMatrix& compressed = assembly.assemble(s_hat, f_scale, g_scale);
   sparse::SparseLu fresh;
-  bool degraded = false;
-  if (!factor_with_ladder(fresh, compressed, &degraded)) return Sample{};
-  if (degraded) ++pivot_escalation_count_;
-  Sample sample = finish_sample(fresh, rhs);
-  sample.degraded = degraded;
+  const sparse::FactorOutcome outcome =
+      sparse::replay_or_factor(lu, fresh, compressed, sparse::PivotRung::kDefault, counters);
+  if (outcome == sparse::FactorOutcome::kSingular) return Sample{};
+  const bool replayed = outcome == sparse::FactorOutcome::kReplayed;
+  Sample sample = finish_sample(replayed ? lu : fresh, rhs);
+  // A replay shares the member's symbolic plan, so the member's degraded
+  // flag applies to it (stable during a batch: only evaluate() on the
+  // caller thread writes it).
+  sample.degraded = replayed ? plan_degraded_ : outcome == sparse::FactorOutcome::kDegraded;
   return sample;
-}
-
-CofactorEvaluator::Sample CofactorEvaluator::evaluate_in(EvalContext& context,
-                                                         std::complex<double> s_hat,
-                                                         double f_scale, double g_scale) const {
-  const sparse::CompressedMatrix& compressed =
-      context.assembly.assemble(s_hat, f_scale, g_scale);
-  if (context.lu.refactor(compressed)) {
-    // The context's lu shares the member's symbolic plan, so the member's
-    // degraded flag applies to this replay too (it is stable for the
-    // duration of a batch — only evaluate() on the caller thread writes it).
-    Sample sample = finish_sample(context.lu, context.rhs);
-    sample.degraded = plan_degraded_;
-    return sample;
-  }
-  // Degraded replay: fresh Markowitz factorization for this point only. The
-  // throwaway instance keeps the context's baseline plan untouched, so the
-  // next point in the chunk sees exactly what it would see in any other
-  // evaluation order. (The escalation counter is NOT bumped here — lanes
-  // share this const instance — but the sample still carries the flag.)
-  sparse::SparseLu fresh;
-  bool degraded = false;
-  if (!factor_with_ladder(fresh, compressed, &degraded)) return Sample{};
-  Sample sample = finish_sample(fresh, context.rhs);
-  sample.degraded = degraded;
-  return sample;
-}
-
-bool CofactorEvaluator::factor_with_ladder(sparse::SparseLu& lu,
-                                           const sparse::CompressedMatrix& matrix,
-                                           bool* degraded) {
-  *degraded = false;
-  if (lu.factor(matrix)) return true;
-  // Escalation: each level trades pivot quality for factorability. The
-  // levels are fixed (not adaptive), so a given matrix always lands on the
-  // same level — escalated results stay deterministic.
-  static constexpr double kEscalationThresholds[] = {1e-6, 0.0};
-  for (const double threshold : kEscalationThresholds) {
-    sparse::SparseLuOptions relaxed;
-    relaxed.pivot_threshold = threshold;
-    relaxed.singularity_tolerance = 0.0;
-    if (lu.factor(matrix, relaxed)) {
-      *degraded = true;
-      return true;
-    }
-  }
-  return false;  // no nonzero pivot at any threshold: truly singular
-}
-
-bool CofactorEvaluator::plan_replayable() const {
-  const auto plan = lu_.plan();
-  const sparse::CompressedMatrix& matrix = assembly_.matrix();
-  return plan != nullptr && matrix.dim == plan->dim &&
-         matrix.row_start == plan->pattern_row_start && matrix.cols == plan->pattern_cols;
 }
 
 void CofactorEvaluator::evaluate_group_batched(BatchContext& context,
                                                const std::complex<double>* s_hats, int count,
                                                double f_scale, double g_scale,
-                                               bool count_fallbacks, Sample* out) const {
+                                               sparse::FactorCounters* counters,
+                                               Sample* out) const {
   const int width = context.replay.width();
   const std::size_t stride = static_cast<std::size_t>(width);
   context.replay.replay(count, context.assembly.lane_assembly(s_hats, f_scale, g_scale));
@@ -333,21 +281,14 @@ void CofactorEvaluator::evaluate_group_batched(BatchContext& context,
       out[l].degraded = plan_degraded_;
       continue;
     }
-    // Refused lane: the batched mirror of the scalar replay-refusal branch —
-    // a throwaway fresh factorization of this point alone, leaving the
-    // baseline plan (and the other lanes) untouched.
-    const sparse::CompressedMatrix& compressed =
-        context.assembly.assemble(s_hats[l], f_scale, g_scale);
-    if (count_fallbacks) ++fresh_factor_count_;
-    sparse::SparseLu fresh;
-    bool degraded = false;
-    if (!factor_with_ladder(fresh, compressed, &degraded)) {
-      out[l] = Sample{};
-      continue;
-    }
-    if (count_fallbacks && degraded) ++pivot_escalation_count_;
-    out[l] = finish_sample(fresh, context.rhs);
-    out[l].degraded = degraded;
+    // Refused lane: the scalar refusal branch against a plan-less instance,
+    // so there is no second replay attempt (the lane's refusal IS the
+    // refactor refusal, fault draw included) and a throwaway fresh
+    // factorization of this point alone leaves the baseline plan (and the
+    // other lanes) untouched.
+    sparse::SparseLu no_plan;
+    out[l] = evaluate_against(context.assembly, no_plan, context.rhs, counters, s_hats[l],
+                              f_scale, g_scale);
   }
 }
 
@@ -368,7 +309,8 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
   // The batched kernel needs a structurally replayable baseline plan; when
   // point 0 left none (singular, or the pattern changed), the whole batch
   // degrades to the scalar path below — which is bit-identical anyway.
-  if (kernel == sparse::ReplayKernel::kBatched && batch_width >= 1 && plan_replayable()) {
+  if (kernel == sparse::ReplayKernel::kBatched && batch_width >= 1 &&
+      lu_.can_replay(assembly_.matrix())) {
     const auto plan = lu_.plan();
     const int width = static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(batch_width), s_hats.size() - 1));
@@ -387,7 +329,7 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
         const int count = static_cast<int>(
             std::min<std::size_t>(static_cast<std::size_t>(width), end - at));
         evaluate_group_batched(*slot, s_hats.data() + at + 1, count, f_scale, g_scale,
-                               /*count_fallbacks=*/false, samples.data() + at + 1);
+                               /*counters=*/nullptr, samples.data() + at + 1);
       }
     };
     if (pool != nullptr) {
@@ -407,14 +349,15 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
   std::vector<std::unique_ptr<EvalContext>> contexts(static_cast<std::size_t>(lanes));
 
   // Per-point contract even when point 0 was singular (no baseline plan):
-  // evaluate_in then skips the replay and runs a fresh throwaway
+  // evaluate_against then skips the replay and runs a fresh throwaway
   // factorization per point, which depends only on the point's values —
   // still deterministic at any thread count, and healthy points succeed.
   auto body = [&](std::size_t begin, std::size_t end, int lane) {
     std::unique_ptr<EvalContext>& slot = contexts[static_cast<std::size_t>(lane)];
     if (!slot) slot = std::make_unique<EvalContext>(EvalContext{assembly_, lu_, {}});
     for (std::size_t i = begin; i < end; ++i) {
-      samples[i + 1] = evaluate_in(*slot, s_hats[i + 1], f_scale, g_scale);
+      samples[i + 1] = evaluate_against(slot->assembly, slot->lu, slot->rhs,
+                                        /*counters=*/nullptr, s_hats[i + 1], f_scale, g_scale);
     }
   };
   if (pool != nullptr) {
@@ -434,7 +377,8 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_pinned_batch(
   // The scalar loop doubles as the fallback when the pinned plan is missing
   // or structurally stale: evaluate_pinned's refusal branch then reproduces
   // the exact counter increments the batched path would have produced.
-  if (kernel != sparse::ReplayKernel::kBatched || batch_width < 1 || !plan_replayable()) {
+  if (kernel != sparse::ReplayKernel::kBatched || batch_width < 1 ||
+      !lu_.can_replay(assembly_.matrix())) {
     for (std::size_t i = 0; i < s_hats.size(); ++i) {
       samples[i] = evaluate_pinned(s_hats[i], f_scale, g_scale);
     }
@@ -449,8 +393,8 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_pinned_batch(
   for (std::size_t at = 0; at < s_hats.size(); at += static_cast<std::size_t>(width)) {
     const int count = static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(width), s_hats.size() - at));
-    evaluate_group_batched(context, s_hats.data() + at, count, f_scale, g_scale,
-                           /*count_fallbacks=*/true, samples.data() + at);
+    evaluate_group_batched(context, s_hats.data() + at, count, f_scale, g_scale, &counters_,
+                           samples.data() + at);
   }
   batched_lane_count_ += s_hats.size();
   return samples;

@@ -120,10 +120,10 @@ class CofactorEvaluator {
     double numerator_error = 0.0;
     double denominator_error = 0.0;
     bool ok = false;
-    /// True when the value came from the degradation ladder's escalated
-    /// pivot thresholds (see evaluate()): numerically usable, but the pivot
-    /// quality guarantee of the default threshold no longer holds. Callers
-    /// surface this (AdaptiveResult::degraded) instead of failing hard.
+    /// True when the value came from a pivot rung below the default
+    /// (sparse::PivotRung): numerically usable, but the pivot quality
+    /// guarantee of the default threshold no longer holds. Callers surface
+    /// this (AdaptiveResult::degraded) instead of failing hard.
     bool degraded = false;
   };
 
@@ -212,15 +212,14 @@ class CofactorEvaluator {
   /// throwaway clones shared across lanes). Single-threaded like the rest
   /// of the instance.
   [[nodiscard]] std::uint64_t fresh_factor_count() const noexcept {
-    return fresh_factor_count_;
+    return counters_.fresh_factorizations;
   }
 
-  /// Times the degradation ladder had to relax the pivot threshold beyond
-  /// the default to factor a point (evaluate()/evaluate_pinned() only, like
-  /// fresh_factor_count()). Every escalated point's Sample carries
-  /// degraded == true.
+  /// Times the pivot ladder had to relax the threshold beyond the default to
+  /// factor a point (counted like fresh_factor_count()). Every escalated
+  /// point's Sample carries degraded == true.
   [[nodiscard]] std::uint64_t pivot_escalation_count() const noexcept {
-    return pivot_escalation_count_;
+    return counters_.pivot_escalations;
   }
 
   /// Points this instance has evaluated through batched replay lanes
@@ -257,22 +256,27 @@ class CofactorEvaluator {
     std::vector<numeric::ScaledComplex> dets;  // per-lane determinants
   };
 
-  /// One point against the context's baseline plan: refactor, with a
-  /// throwaway fresh factorization when the replay refuses (the context's
-  /// plan is never replaced, keeping later points history-independent).
-  [[nodiscard]] Sample evaluate_in(EvalContext& context, std::complex<double> s_hat,
-                                   double f_scale, double g_scale) const;
+  /// One point against a pinned plan: assemble into `assembly`, replay
+  /// `lu`'s plan, and when the replay refuses run a throwaway fresh
+  /// factorization of this point alone, counted into `counters` (null on
+  /// pool lanes: the evaluator's counters are bumped on the caller thread
+  /// only). `lu`'s plan is never replaced, keeping later points
+  /// history-independent.
+  [[nodiscard]] Sample evaluate_against(PatternedMatrix& assembly, sparse::SparseLu& lu,
+                                        std::vector<std::complex<double>>& rhs,
+                                        sparse::FactorCounters* counters,
+                                        std::complex<double> s_hat, double f_scale,
+                                        double g_scale) const;
 
   /// One SoA group of `count` points against the baseline plan bound into
   /// context.replay: batched assembly, batched replay, batched cofactor
   /// solve, then per-lane sample assembly. Refused lanes fall back to a
-  /// throwaway fresh factorization of that point alone;
-  /// `count_fallbacks` selects whether those bump fresh_factor_count() /
-  /// pivot_escalation_count() (true on the pinned caller-thread path,
-  /// false on pool lanes — matching the scalar paths' accounting).
+  /// throwaway fresh factorization of that point alone, counted into
+  /// `counters` (the evaluator's on the pinned caller-thread path, null on
+  /// pool lanes — matching the scalar paths' accounting).
   void evaluate_group_batched(BatchContext& context, const std::complex<double>* s_hats,
-                              int count, double f_scale, double g_scale, bool count_fallbacks,
-                              Sample* out) const;
+                              int count, double f_scale, double g_scale,
+                              sparse::FactorCounters* counters, Sample* out) const;
 
   /// Shared tail of every evaluation path: determinant, cofactor solve and
   /// the two error proxies from an already factored system.
@@ -295,20 +299,6 @@ class CofactorEvaluator {
                                          double max_entry, std::complex<double> v_out,
                                          std::complex<double> v_in, double max_abs_v) const;
 
-  /// True when the member plan exists and its structural fingerprint matches
-  /// the cached assembly — i.e. a (scalar or batched) replay would be
-  /// accepted structurally.
-  [[nodiscard]] bool plan_replayable() const;
-
-  /// The numeric degradation ladder: a fresh factorization at the default
-  /// options, then — instead of giving up — retries with progressively
-  /// relaxed pivot thresholds. Returns false only when even a thresholdless
-  /// factorization finds no nonzero pivot (truly singular); *degraded is
-  /// set when an escalated level produced the factorization.
-  [[nodiscard]] static bool factor_with_ladder(sparse::SparseLu& lu,
-                                               const sparse::CompressedMatrix& matrix,
-                                               bool* degraded);
-
   /// Resolve the spec rows against *system_ and (re)build the pattern-cached
   /// assembly from its stamps plus the drive admittance.
   void bind_system();
@@ -319,12 +309,11 @@ class CofactorEvaluator {
   int in_neg_ = -1;
   int out_pos_ = -1;
   int out_neg_ = -1;
-  mutable std::uint64_t fresh_factor_count_ = 0;
-  mutable std::uint64_t pivot_escalation_count_ = 0;
+  mutable sparse::FactorCounters counters_;
   /// Points evaluated through batched lanes; bumped on the caller thread
   /// only (pool lanes never touch it), like the other counters.
   mutable std::uint64_t batched_lane_count_ = 0;
-  /// True while lu_ holds a plan produced by an escalated ladder level.
+  /// True while lu_ holds a plan produced by an escalated pivot rung.
   mutable bool plan_degraded_ = false;
   // Pattern-cached assembly (system stamps + drive admittance, merged once)
   // and the cached factorization plan reused across evaluation points.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "mna/ac.h"
+#include "mna/errors.h"
 #include "mna/nodal.h"
 #include "netlist/canonical.h"
 #include "numeric/stats.h"
@@ -82,14 +83,8 @@ class AdjointContext {
   std::vector<ElementSensitivity> at(double frequency_hz) {
     const Complex s(0.0, kTwoPi * frequency_hz);
 
-    const sparse::CompressedMatrix& matrix = direct_.assemble(s);
-    if (!lu_.refactor(matrix) && !lu_.factor(matrix)) {
-      throw std::runtime_error("ac_sensitivities: singular system");
-    }
-    const sparse::CompressedMatrix& matrix_t = transposed_.assemble(s);
-    if (!lu_t_.refactor(matrix_t) && !lu_t_.factor(matrix_t)) {
-      throw std::runtime_error("ac_sensitivities: singular transposed system");
-    }
+    factor(lu_, direct_.assemble(s), "system");
+    factor(lu_t_, transposed_.assemble(s), "transposed system");
 
     const int n = system_.dim();
     auto unit_pair = [&](int pos, int neg) {
@@ -153,6 +148,14 @@ class AdjointContext {
     int c = -1;
     int d = -1;
   };
+
+  /// Replay `lu`'s plan (persisting a fresh one on refusal) or throw.
+  void factor(sparse::SparseLu& lu, const sparse::CompressedMatrix& matrix, const char* what) {
+    if (sparse::replay_or_factor(lu, lu, matrix, sparse::PivotRung::kDefault, nullptr) ==
+        sparse::FactorOutcome::kSingular) {
+      throw SingularSystemError(std::string("ac_sensitivities: singular ") + what);
+    }
+  }
 
   const TransferSpec& spec_;
   NodalSystem system_;

@@ -36,7 +36,10 @@ struct ElementSensitivity {
 /// First-order sensitivities of a transfer function with respect to every
 /// canonical element (conductance, capacitor, VCCS) at one frequency.
 /// The circuit must be canonical ({G, C, VCCS}); use netlist::canonicalize
-/// first. Throws std::runtime_error on singular systems.
+/// first. Throws mna::SingularSystemError when the direct or transposed
+/// system is singular at every pivot rung (sparse::PivotRung, starting at
+/// kDefault), std::runtime_error when the transfer function is zero at the
+/// frequency.
 std::vector<ElementSensitivity> ac_sensitivities(const netlist::Circuit& canonical,
                                                  const TransferSpec& spec,
                                                  double frequency_hz);

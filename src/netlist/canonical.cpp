@@ -6,7 +6,6 @@
 #include <string>
 
 #include "numeric/stats.h"
-#include "support/log.h"
 
 namespace symref::netlist {
 
@@ -151,7 +150,6 @@ Circuit canonicalize(const Circuit& circuit, const CanonicalOptions& options) {
           throw std::invalid_argument("canonicalize: independent source '" + e.name +
                                       "' present and drop_independent_sources=false");
         }
-        SYMREF_DEBUG("canonicalize: dropping independent source '" << e.name << "'");
         break;
     }
   }

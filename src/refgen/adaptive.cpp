@@ -11,7 +11,6 @@
 #include "netlist/canonical.h"
 #include "numeric/stats.h"
 #include "refgen/naive.h"
-#include "support/log.h"
 #include "support/thread_pool.h"
 #include "support/timer.h"
 
@@ -423,12 +422,6 @@ AdaptiveResult AdaptiveScalingEngine::run() {
     const int driver_new =
         driver_is_den ? last.den_new_coefficients : last.num_new_coefficients;
 
-    SYMREF_DEBUG("adaptive iter " << iter << " (" << purpose_name(last.purpose)
-                                  << ") f=" << f << " g=" << g << " pts=" << last.points
-                                  << " den " << last.den_region.to_string() << " +"
-                                  << last.den_new_coefficients << " num +"
-                                  << last.num_new_coefficients);
-
     if (num.complete() && den.complete()) {
       result.complete = true;
       result.termination = "complete";
@@ -489,9 +482,6 @@ AdaptiveResult AdaptiveScalingEngine::run() {
         // working precision (§3.1). Mark the interior run and move on.
         int run_end = low_unknown;
         while (run_end < driver.bound() && !driver.ref.at(run_end + 1).known()) ++run_end;
-        SYMREF_DEBUG("adaptive: gap " << low_unknown << ".." << run_end
-                                      << " declared negligible after " << gap_attempt
-                                      << " attempts");
         driver.mark_zero_tail(low_unknown, run_end);
         gap_key = -1;
         continue;

@@ -367,11 +367,32 @@ void SparseLu::require_refactor(const CompressedMatrix& matrix, const SparseLuOp
   }
 }
 
-bool SparseLu::refactor(const CompressedMatrix& matrix, const SparseLuOptions& options) {
-  if (!plan_ || matrix.dim != plan_->dim || matrix.row_start != plan_->pattern_row_start ||
-      matrix.cols != plan_->pattern_cols) {
-    return false;  // no plan or pattern changed: need a full factor()
+bool SparseLu::can_replay(const CompressedMatrix& matrix) const noexcept {
+  return plan_ && matrix.dim == plan_->dim && matrix.row_start == plan_->pattern_row_start &&
+         matrix.cols == plan_->pattern_cols;
+}
+
+FactorOutcome replay_or_factor(SparseLu& lu, SparseLu& fresh, const CompressedMatrix& matrix,
+                               PivotRung start, FactorCounters* counters, bool try_replay) {
+  if (try_replay && lu.refactor(matrix)) return FactorOutcome::kReplayed;
+  static constexpr double kRungThresholds[] = {SparseLuOptions{}.pivot_threshold, 1e-6, 0.0};
+  FactorCounters uncounted;
+  if (counters == nullptr) counters = &uncounted;
+  ++counters->fresh_factorizations;
+  for (int rung = static_cast<int>(start); rung <= static_cast<int>(PivotRung::kAnyNonzero);
+       ++rung) {
+    SparseLuOptions options;
+    options.pivot_threshold = kRungThresholds[rung];
+    if (!fresh.factor(matrix, options)) continue;
+    if (rung == static_cast<int>(start)) return FactorOutcome::kFresh;
+    ++counters->pivot_escalations;
+    return FactorOutcome::kDegraded;
   }
+  return FactorOutcome::kSingular;
+}
+
+bool SparseLu::refactor(const CompressedMatrix& matrix, const SparseLuOptions& options) {
+  if (!can_replay(matrix)) return false;  // no plan or pattern changed: need a full factor()
   // Fault site "lu_pivot": pretend a reused pivot degraded. The caller's
   // fallback (fresh factor through the degradation ladder) re-selects the
   // same pivots on a healthy matrix, so results stay bit-identical — which

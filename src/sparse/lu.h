@@ -35,6 +35,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -199,6 +200,11 @@ class SparseLu {
   /// shared with clones of this instance). refactor() requires it.
   [[nodiscard]] bool has_plan() const noexcept { return plan_ != nullptr; }
 
+  /// True when a plan is recorded and `matrix` has exactly its structural
+  /// pattern, i.e. refactor() (scalar or batched) would not refuse on
+  /// structure alone.
+  [[nodiscard]] bool can_replay(const CompressedMatrix& matrix) const noexcept;
+
   /// The recorded symbolic plan (nullptr before the first successful
   /// factor()). Shared read-only — the handle a BatchedReplay binds to.
   [[nodiscard]] std::shared_ptr<const ReplayPlan> plan() const noexcept { return plan_; }
@@ -254,6 +260,71 @@ class SparseLu {
   // --- Workspaces (persist to keep the repeated path allocation-free) -------
   mutable std::vector<std::complex<double>> work_;
 };
+
+/// Rungs of the one pivot-escalation ladder every fresh factorization walks,
+/// strictest first. The rungs are fixed levels, not adaptive, so a given
+/// matrix always lands on the same rung and escalated results stay
+/// deterministic. A caller chooses only where it starts; a factorization
+/// from a rung below the caller's start counts as degraded.
+///
+/// Because threshold pivoting with a zero singularity tolerance accepts the
+/// largest entry of any nonzero row at every rung, a rung fails only when
+/// elimination leaves an exactly zero active submatrix. That happens in
+/// exact arithmetic only for a singular matrix; for a nonsingular one it is
+/// a rounding artifact of the pivot order, which a looser rung changes.
+enum class PivotRung {
+  /// SparseLuOptions{} (threshold 1e-3). The AC paths start here: sample
+  /// values move by fractions of a decade between points, so the default
+  /// pivot quality is kept and anything looser is flagged.
+  kDefault,
+  /// Threshold 1e-6. DC and transient Newton start here: a junction
+  /// conductance swings ~12 decades (forward bias ~1 S, cut off at
+  /// gmin = 1e-12 S) between iterates, so the pivot quality the default
+  /// threshold buys at one iterate holds no guarantee at the next; the
+  /// looser threshold lets the Markowitz search keep the sparsest order
+  /// and Newton corrects the lost accuracy on the following iterate.
+  /// Replays are still accepted against the default relaxed bar
+  /// (kReplayRelaxedThresholdScale times the default threshold).
+  kLoose,
+  /// Threshold 0: any nonzero pivot. Fails only on an exactly zero active
+  /// submatrix, which the caller reports as a singular system.
+  kAnyNonzero,
+};
+
+/// Factorization counters of one replay site, summed over its
+/// replay_or_factor() calls.
+struct FactorCounters {
+  /// Fresh factorizations attempted (every rung walk, including one that
+  /// ends singular).
+  std::uint64_t fresh_factorizations = 0;
+  /// Fresh factorizations that landed on a rung below the caller's start.
+  std::uint64_t pivot_escalations = 0;
+
+  FactorCounters& operator+=(const FactorCounters& other) noexcept {
+    fresh_factorizations += other.fresh_factorizations;
+    pivot_escalations += other.pivot_escalations;
+    return *this;
+  }
+};
+
+/// What replay_or_factor() did.
+enum class FactorOutcome {
+  kReplayed,  // the recorded plan replayed; the result lives in `lu`
+  kFresh,     // fresh factorization at the starting rung, in `fresh`
+  kDegraded,  // fresh factorization from a rung below the start, in `fresh`
+  kSingular,  // every rung from the start down failed
+};
+
+/// The one replay-or-refactor step of every plan-replay site: replay `lu`'s
+/// recorded plan on `matrix` (refactor() with default options, including
+/// its "lu_pivot" fault draw); when there is no plan, the replay is refused
+/// or `try_replay` is false, factor afresh into `fresh`, walking the ladder
+/// from `start`. Pass `fresh` == `lu` to persist the new plan, or an empty
+/// throwaway to leave `lu`'s plan pinned so later replays stay independent
+/// of this point. Bumps `counters` (when non-null) for every fresh walk.
+FactorOutcome replay_or_factor(SparseLu& lu, SparseLu& fresh, const CompressedMatrix& matrix,
+                               PivotRung start, FactorCounters* counters,
+                               bool try_replay = true);
 
 /// Permutation parity: +1 for even, -1 for odd. `order[k]` must be a
 /// permutation of 0..n-1 (checked with assertions in debug builds).

@@ -10,7 +10,6 @@
 #include "mna/ac.h"
 #include "mna/sensitivity.h"
 #include "netlist/canonical.h"
-#include "support/log.h"
 
 namespace symref::symbolic {
 
@@ -91,10 +90,9 @@ SbgResult simplify_before_generation(const netlist::Circuit& circuit,
           never_trial.insert(s.element);
         }
       }
-      SYMREF_DEBUG("sbg: sensitivity screening excluded " << never_trial.size() << " of "
-                                                          << band.size() << " elements");
-    } catch (const std::exception& e) {
-      SYMREF_WARN("sbg: sensitivity screening unavailable: " << e.what());
+    } catch (const std::exception&) {
+      // Screening only prunes the trial list: when the adjoint solves fail
+      // (e.g. a singular system at a band point), every element is trialed.
     }
   }
 
@@ -139,8 +137,6 @@ SbgResult simplify_before_generation(const netlist::Circuit& circuit,
 
     if (best_element.empty() || best_error > options.epsilon) break;
 
-    SYMREF_DEBUG("sbg: " << (best_op == SbgAction::Op::Open ? "open " : "short ")
-                         << best_element << " (error " << best_error << ")");
     result.simplified = std::move(best_circuit);
     result.actions.push_back({best_element, best_op, best_error});
     result.final_error = best_error;

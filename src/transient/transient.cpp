@@ -244,8 +244,12 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
   std::set<int> buckets_used;
 
   // Factor-or-replay against one bucket's plan: the first visit records the
-  // bucket's plan fresh; every later visit replays it (escalation ladder on
-  // refusal, mirroring the DC solver's policy and fault sites).
+  // bucket's plan fresh; every later visit replays it (a refused replay, or
+  // the newton_step fault site, factors afresh from the kLoose rung like
+  // the DC solver).
+  const dc::NewtonLimits limits{options_.bias.max_voltage_step, options_.newton_reltol,
+                                options_.newton_abstol_v, options_.newton_abstol_i};
+  sparse::FactorCounters counters;
   auto factor_bucket = [&](int key, const sparse::CompressedMatrix& matrix,
                            double t_new) -> sparse::SparseLu& {
     // A bucket counts as used the moment its plan is touched — including a
@@ -254,25 +258,18 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
     // initialization micro-step is accounted separately (it is not a step
     // size the run ever revisits).
     if (key != kInitBucket) buckets_used.insert(key);
-    BucketPlan& bucket = buckets_[key];
-    const bool refused = !bucket.planned || !bucket.lu.has_plan() ||
-                         support::fault("newton_step") || !bucket.lu.refactor(matrix);
-    if (refused) {
-      bool degraded = false;
-      if (!dc::factor_with_ladder(bucket.lu, matrix, &degraded)) {
-        std::ostringstream os;
-        os << "transient: singular system at t = " << t_new
-           << " (floating node or degenerate companion network?)";
-        throw mna::SingularSystemError(os.str());
-      }
-      ++result.fresh_factorizations;
-      if (degraded) {
-        ++result.pivot_escalations;
-        result.degraded = true;
-      }
-      bucket.planned = true;
+    sparse::SparseLu& lu = buckets_[key];
+    const bool forced = lu.can_replay(matrix) && support::fault("newton_step");
+    const sparse::FactorOutcome outcome =
+        sparse::replay_or_factor(lu, lu, matrix, sparse::PivotRung::kLoose, &counters, !forced);
+    if (outcome == sparse::FactorOutcome::kSingular) {
+      std::ostringstream os;
+      os << "transient: singular system at t = " << t_new
+         << " (floating node or degenerate companion network?)";
+      throw mna::SingularSystemError(os.str());
     }
-    return bucket.lu;
+    if (outcome == sparse::FactorOutcome::kDegraded) result.degraded = true;
+    return lu;
   };
 
   // Assemble the step system at time t_new with step h: base stamps, then
@@ -319,7 +316,6 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
       // recorded bucket plan belongs to the old structure.
       assembly_ = sparse::PatternedMatrix(layout.dim, stamps);
       buckets_.clear();
-      has_pattern_ = false;
     }
     return assembly_.assemble(0.0);
   };
@@ -331,8 +327,7 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
     if (layout.devices.empty()) {
       const sparse::CompressedMatrix& matrix = assemble_step(m, t_new, h, dev_state);
       sparse::SparseLu& lu = factor_bucket(key, matrix, t_new);
-      has_pattern_ = true;
-      for (std::size_t i = 0; i < dim; ++i) rhs_c[i] = rhs[i];
+      rhs_c.assign(rhs.begin(), rhs.end());
       lu.solve(rhs_c);
       for (std::size_t i = 0; i < dim; ++i) x_new[i] = rhs_c[i].real();
       return true;
@@ -347,32 +342,10 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
       if (options_.cancel.cancelled()) throw support::CancelledError();
       ++result.newton_iterations;
       const sparse::CompressedMatrix& matrix = assemble_step(m, t_new, h, state_new);
-      sparse::SparseLu& lu = factor_bucket(key, matrix, t_new);
-      has_pattern_ = true;
-      for (std::size_t i = 0; i < dim; ++i) rhs_c[i] = rhs[i];
-      lu.solve(rhs_c);
-
-      bool clamped = false;
-      double max_rel = 0.0;
-      for (std::size_t i = 0; i < dim; ++i) {
-        double delta = rhs_c[i].real() - x_new[i];
-        if (i < node_rows && std::fabs(delta) > options_.bias.max_voltage_step) {
-          delta = delta > 0 ? options_.bias.max_voltage_step : -options_.bias.max_voltage_step;
-          clamped = true;
-        }
-        const double accepted = x_new[i] + delta;
-        const double abstol = i < node_rows ? options_.newton_abstol_v : options_.newton_abstol_i;
-        const double tol = abstol + options_.newton_reltol *
-                                        std::max(std::fabs(accepted), std::fabs(x_new[i]));
-        max_rel = std::max(max_rel, std::fabs(delta) / tol);
-        x_new[i] = accepted;
+      const sparse::SparseLu& lu = factor_bucket(key, matrix, t_new);
+      if (dc::newton_update(lu, rhs, layout, limits, rhs_c, x_new, state_new) && iter > 0) {
+        return true;
       }
-      bool limited = false;
-      for (std::size_t i = 0; i < layout.devices.size(); ++i) {
-        const DeviceState proposed = dc::proposed_state(*layout.devices[i], x_new, layout);
-        state_new[i] = dc::limit_state(*layout.devices[i], proposed, state_new[i], &limited);
-      }
-      if (!clamped && !limited && max_rel <= 1.0 && iter > 0) return true;
     }
     return false;
   };
@@ -560,6 +533,8 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
     }
   }
 
+  result.fresh_factorizations += counters.fresh_factorizations;
+  result.pivot_escalations += counters.pivot_escalations;
   result.step_size_buckets = static_cast<int>(buckets_used.size());
   result.seconds = timer.seconds();
   return result;

@@ -13,11 +13,12 @@
 // consistent-initialization solve, and the single step bucket.
 // `TransientResult::fresh_factorizations` probes the contract.
 //
-// Device-bearing netlists run a damped Newton iteration per step (the PR 9
+// Device-bearing netlists run a damped Newton iteration per step (the
 // OpSolver machinery from dc/stamps.h: fixed-pattern device companions,
-// pnjlim junction limiting, the escalating-pivot degradation ladder); the
-// previous step's solution is the warm start, so a handful of iterations per
-// step suffice and every iterate replays the bucket's plan.
+// pnjlim junction limiting, the damped Newton update), factoring through
+// sparse::replay_or_factor from the kLoose pivot rung like the DC solver;
+// the previous step's solution is the warm start, so a handful of
+// iterations per step suffice and every iterate replays the bucket's plan.
 //
 // Step control: the local truncation error is estimated per accepted
 // candidate by comparing the corrector against a quadratic predictor
@@ -145,17 +146,11 @@ class TransientSolver {
   [[nodiscard]] TransientResult solve(const netlist::Circuit& circuit);
 
  private:
-  /// One factorization plan per step-size bucket (key: halving count k;
-  /// -1 = the t = 0 DC pattern).
-  struct BucketPlan {
-    sparse::SparseLu lu;
-    bool planned = false;
-  };
-
   TransientOptions options_;
   sparse::PatternedMatrix assembly_;
-  bool has_pattern_ = false;
-  std::map<int, BucketPlan> buckets_;
+  /// One factorization plan per step-size bucket (key: halving count k, or
+  /// the final-partial / initialization bucket keys).
+  std::map<int, sparse::SparseLu> buckets_;
 };
 
 /// One-shot convenience wrapper.

@@ -237,6 +237,40 @@ TEST(ServiceBatch, PerItemStatusAndResultsMatchSingleRequests) {
   }
 }
 
+TEST(ServiceBatch, ItemsComeBackInRequestOrder) {
+  // Distinct transfers on one handle, more items than lanes: every item
+  // lands at its request index and equals a standalone request.
+  const Service service;
+  const CircuitHandle handle = service.compile(circuits::rc_ladder(8), "ladder-8").take();
+  BatchRequest request;
+  request.threads = 3;
+  for (const char* out : {"n8", "n2", "n5", "n1", "n7"}) {
+    request.items.push_back({mna::TransferSpec::voltage_gain("in", out), {}});
+  }
+  const auto response = service.batch(handle, request);
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response.value().items.size(), request.items.size());
+
+  const Service fresh;
+  const CircuitHandle single_handle = fresh.compile(circuits::rc_ladder(8)).take();
+  for (std::size_t i = 0; i < request.items.size(); ++i) {
+    const auto& item = response.value().items[i];
+    ASSERT_TRUE(item.status.ok()) << i << ": " << item.status.to_string();
+    const auto single = fresh.refgen(single_handle, {request.items[i].spec, {}});
+    ASSERT_TRUE(single.ok());
+    const auto& expected = single.value().result.reference;
+    const auto& actual = item.response.result.reference;
+    for (const auto* pair : {&expected.numerator(), &expected.denominator()}) {
+      const auto& other =
+          pair == &expected.numerator() ? actual.numerator() : actual.denominator();
+      ASSERT_EQ(pair->order_bound(), other.order_bound()) << i;
+      for (int k = 0; k <= pair->order_bound(); ++k) {
+        EXPECT_TRUE(pair->at(k).value == other.at(k).value) << i << " coefficient " << k;
+      }
+    }
+  }
+}
+
 TEST(ServiceRefgen, ProgressObserverSeesEveryIteration) {
   const Service service;
   const CircuitHandle handle = service.compile(circuits::ua741(), "ua741").take();

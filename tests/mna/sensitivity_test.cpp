@@ -9,6 +9,7 @@
 #include "circuits/ladder.h"
 #include "circuits/ota.h"
 #include "mna/ac.h"
+#include "mna/errors.h"
 #include "netlist/canonical.h"
 
 namespace symref::mna {
@@ -116,6 +117,17 @@ TEST(Sensitivity, BandScreeningFindsNegligibleElements) {
   }
   EXPECT_LT(par_worst, 1e-5);
   EXPECT_GT(main_best, 1e-2);
+}
+
+TEST(Sensitivity, FloatingNodeIsATypedSingularSystem) {
+  // Node "x" hangs off the circuit through a capacitor only: at DC its row
+  // and column vanish, so the system is singular at every pivot rung.
+  netlist::Circuit c;
+  c.add_conductance("g1", "in", "out", 1e-3);
+  c.add_conductance("g2", "out", "0", 1e-3);
+  c.add_capacitor("cx", "out", "x", 1e-9);
+  EXPECT_THROW(ac_sensitivities(c, TransferSpec::voltage_gain("in", "out"), 0.0),
+               SingularSystemError);
 }
 
 TEST(Sensitivity, RejectsNonCanonical) {

@@ -1,10 +1,8 @@
 // Support utilities: tables, CLI parsing, RNG determinism, logging.
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "support/cli.h"
-#include "support/log.h"
 #include "support/random.h"
 #include "support/table.h"
 #include "support/timer.h"
@@ -137,20 +135,6 @@ TEST(Rng, SignIsBalanced) {
   }
   EXPECT_GT(positive, 4500);
   EXPECT_LT(positive, 5500);
-}
-
-TEST(Log, LevelFiltering) {
-  std::ostringstream sink;
-  set_log_stream(&sink);
-  const LogLevel previous = log_level();
-  set_log_level(LogLevel::Warn);
-  SYMREF_INFO("hidden " << 1);
-  SYMREF_WARN("visible " << 2);
-  set_log_level(previous);
-  set_log_stream(nullptr);
-  EXPECT_EQ(sink.str().find("hidden"), std::string::npos);
-  EXPECT_NE(sink.str().find("visible 2"), std::string::npos);
-  EXPECT_NE(sink.str().find("[warn]"), std::string::npos);
 }
 
 TEST(Timer, MeasuresElapsedTime) {
