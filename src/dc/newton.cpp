@@ -50,7 +50,7 @@ OpResult OpSolver::solve(const Circuit& circuit) {
   int iterations = 0;
   sparse::FactorCounters counters;
   bool degraded = false;
-  bool plan_degraded = false;
+  sparse::SparseLu no_plan;  // replay source of a forced fresh factorization
 
   auto reset_start = [&] {
     std::fill(x.begin(), x.end(), 0.0);
@@ -85,16 +85,13 @@ OpResult OpSolver::solve(const Circuit& circuit) {
       // replay is refused, or when the newton_step fault site forces one on
       // a replayable iterate.
       const bool forced = lu_.can_replay(matrix) && support::fault("newton_step");
-      const sparse::FactorOutcome outcome = sparse::replay_or_factor(
-          lu_, lu_, matrix, sparse::PivotRung::kLoose, &counters, !forced);
-      if (outcome == sparse::FactorOutcome::kSingular) {
+      const sparse::FactorResult step = sparse::replay_or_factor(
+          forced ? no_plan : lu_, lu_, matrix, sparse::PivotRung::kLoose, &counters);
+      if (step.outcome == sparse::FactorOutcome::kSingular) {
         throw mna::SingularSystemError(
             "dc: singular Jacobian (floating node or degenerate DC path?)");
       }
-      if (outcome != sparse::FactorOutcome::kReplayed) {
-        plan_degraded = outcome == sparse::FactorOutcome::kDegraded;
-      }
-      degraded = degraded || plan_degraded;
+      degraded = degraded || step.degraded;
 
       if (newton_update(lu_, rhs, layout, limits, rhs_c, x, state) && iter > 0) {
         converged = true;

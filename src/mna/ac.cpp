@@ -91,18 +91,14 @@ std::complex<double> AcSimulator::solve_point(const SpecCache& cache, MnaAssembl
   const sparse::CompressedMatrix& matrix = assembler.assemble(s);
   sparse::SparseLu throwaway;
   sparse::SparseLu& fresh = persist_plan ? lu : throwaway;
-  const sparse::FactorOutcome outcome =
+  const sparse::FactorResult step =
       sparse::replay_or_factor(lu, fresh, matrix, sparse::PivotRung::kDefault,
                                &tally.counters);
-  if (outcome == sparse::FactorOutcome::kSingular) {
+  if (step.outcome == sparse::FactorOutcome::kSingular) {
     throw SingularSystemError("AcSimulator: singular MNA system");
   }
-  const bool replayed = outcome == sparse::FactorOutcome::kReplayed;
-  // A persisted plan carries its rung to every later replay of it.
-  if (persist_plan && !replayed) cache.plan_degraded = outcome == sparse::FactorOutcome::kDegraded;
-  tally.degraded = tally.degraded || (replayed ? cache.plan_degraded
-                                               : outcome == sparse::FactorOutcome::kDegraded);
-  (replayed ? lu : fresh).solve(rhs);
+  tally.degraded = tally.degraded || step.degraded;
+  (step.outcome == sparse::FactorOutcome::kReplayed ? lu : fresh).solve(rhs);
 
   auto voltage = [&](int row) -> std::complex<double> {
     return row < 0 ? std::complex<double>(0.0, 0.0) : rhs[static_cast<std::size_t>(row)];

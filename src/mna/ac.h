@@ -107,8 +107,6 @@ class AcSimulator {
     netlist::Circuit work;
     std::unique_ptr<MnaAssembler> assembler;  // references `work`
     sparse::SparseLu lu;
-    /// True while `lu` holds a plan factored on an escalated pivot rung.
-    mutable bool plan_degraded = false;
     int drive_branch = -1;  // VoltageGain: row of the 1 V drive constraint
     int in_pos_row = -1;    // Transimpedance: injection rows (-1 = ground)
     int in_neg_row = -1;

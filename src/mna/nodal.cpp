@@ -178,20 +178,14 @@ CofactorEvaluator::Sample CofactorEvaluator::evaluate(std::complex<double> s_hat
   // refactorization (same pattern across points); a refused replay factors
   // afresh INTO lu_, so later points (and batches) replay the new plan.
   const sparse::CompressedMatrix& compressed = assembly_.assemble(s_hat, f_scale, g_scale);
-  const sparse::FactorOutcome outcome =
+  const sparse::FactorResult step =
       sparse::replay_or_factor(lu_, lu_, compressed, sparse::PivotRung::kDefault, &counters_);
-  if (outcome == sparse::FactorOutcome::kSingular) {
+  if (step.outcome == sparse::FactorOutcome::kSingular) {
     return Sample{};  // singular at this point; caller will retry/adjust
-  }
-  // The persisted plan inherits the escalation: replays of a degraded plan
-  // are flagged too, until a default-rung factorization re-establishes a
-  // healthy plan.
-  if (outcome != sparse::FactorOutcome::kReplayed) {
-    plan_degraded_ = outcome == sparse::FactorOutcome::kDegraded;
   }
   std::vector<std::complex<double>> rhs;
   Sample sample = finish_sample(lu_, rhs);
-  sample.degraded = plan_degraded_;
+  sample.degraded = step.degraded;
   return sample;
 }
 
@@ -208,15 +202,12 @@ CofactorEvaluator::Sample CofactorEvaluator::evaluate_against(
     double g_scale) const {
   const sparse::CompressedMatrix& compressed = assembly.assemble(s_hat, f_scale, g_scale);
   sparse::SparseLu fresh;
-  const sparse::FactorOutcome outcome =
+  const sparse::FactorResult step =
       sparse::replay_or_factor(lu, fresh, compressed, sparse::PivotRung::kDefault, counters);
-  if (outcome == sparse::FactorOutcome::kSingular) return Sample{};
-  const bool replayed = outcome == sparse::FactorOutcome::kReplayed;
-  Sample sample = finish_sample(replayed ? lu : fresh, rhs);
-  // A replay shares the member's symbolic plan, so the member's degraded
-  // flag applies to it (stable during a batch: only evaluate() on the
-  // caller thread writes it).
-  sample.degraded = replayed ? plan_degraded_ : outcome == sparse::FactorOutcome::kDegraded;
+  if (step.outcome == sparse::FactorOutcome::kSingular) return Sample{};
+  Sample sample =
+      finish_sample(step.outcome == sparse::FactorOutcome::kReplayed ? lu : fresh, rhs);
+  sample.degraded = step.degraded;
   return sample;
 }
 
@@ -278,7 +269,7 @@ void CofactorEvaluator::evaluate_group_batched(BatchContext& context,
                                  context.min_pivots[static_cast<std::size_t>(l)],
                                  context.replay.max_abs_entry(l), v_out, v_in,
                                  std::sqrt(context.max_norm[static_cast<std::size_t>(l)]));
-      out[l].degraded = plan_degraded_;
+      out[l].degraded = lu_.plan_below(sparse::PivotRung::kDefault);
       continue;
     }
     // Refused lane: the scalar refusal branch against a plan-less instance,

@@ -313,8 +313,6 @@ class CofactorEvaluator {
   /// Points evaluated through batched lanes; bumped on the caller thread
   /// only (pool lanes never touch it), like the other counters.
   mutable std::uint64_t batched_lane_count_ = 0;
-  /// True while lu_ holds a plan produced by an escalated pivot rung.
-  mutable bool plan_degraded_ = false;
   // Pattern-cached assembly (system stamps + drive admittance, merged once)
   // and the cached factorization plan reused across evaluation points.
   mutable PatternedMatrix assembly_;

@@ -151,7 +151,7 @@ class AdjointContext {
 
   /// Replay `lu`'s plan (persisting a fresh one on refusal) or throw.
   void factor(sparse::SparseLu& lu, const sparse::CompressedMatrix& matrix, const char* what) {
-    if (sparse::replay_or_factor(lu, lu, matrix, sparse::PivotRung::kDefault, nullptr) ==
+    if (sparse::replay_or_factor(lu, lu, matrix, sparse::PivotRung::kDefault, nullptr).outcome ==
         sparse::FactorOutcome::kSingular) {
       throw SingularSystemError(std::string("ac_sensitivities: singular ") + what);
     }

@@ -21,6 +21,9 @@ using Complex = std::complex<double>;
 /// when none of the candidates holds a numerically acceptable pivot).
 constexpr int kCandidateColumns = 4;
 
+/// SparseLuOptions::pivot_threshold of each PivotRung, strictest first.
+constexpr double kRungThresholds[] = {SparseLuOptions{}.pivot_threshold, 1e-6, 0.0};
+
 /// One entry of a row of the active submatrix during symbolic analysis.
 struct ActiveEntry {
   int col = 0;
@@ -71,6 +74,7 @@ bool SparseLu::analyze_and_factor(const CompressedMatrix& matrix,
   plan_.reset();
   auto plan = std::make_shared<ReplayPlan>();
   plan->dim = n;
+  plan->pivot_threshold = options.pivot_threshold;
   plan->row_order.assign(static_cast<std::size_t>(n), -1);
   plan->col_order.assign(static_cast<std::size_t>(n), -1);
   plan->col_step.assign(static_cast<std::size_t>(n), -1);
@@ -372,10 +376,13 @@ bool SparseLu::can_replay(const CompressedMatrix& matrix) const noexcept {
          matrix.cols == plan_->pattern_cols;
 }
 
-FactorOutcome replay_or_factor(SparseLu& lu, SparseLu& fresh, const CompressedMatrix& matrix,
-                               PivotRung start, FactorCounters* counters, bool try_replay) {
-  if (try_replay && lu.refactor(matrix)) return FactorOutcome::kReplayed;
-  static constexpr double kRungThresholds[] = {SparseLuOptions{}.pivot_threshold, 1e-6, 0.0};
+bool SparseLu::plan_below(PivotRung start) const noexcept {
+  return plan_ && plan_->pivot_threshold < kRungThresholds[static_cast<int>(start)];
+}
+
+FactorResult replay_or_factor(SparseLu& lu, SparseLu& fresh, const CompressedMatrix& matrix,
+                              PivotRung start, FactorCounters* counters) {
+  if (lu.refactor(matrix)) return {FactorOutcome::kReplayed, lu.plan_below(start)};
   FactorCounters uncounted;
   if (counters == nullptr) counters = &uncounted;
   ++counters->fresh_factorizations;
@@ -384,11 +391,11 @@ FactorOutcome replay_or_factor(SparseLu& lu, SparseLu& fresh, const CompressedMa
     SparseLuOptions options;
     options.pivot_threshold = kRungThresholds[rung];
     if (!fresh.factor(matrix, options)) continue;
-    if (rung == static_cast<int>(start)) return FactorOutcome::kFresh;
+    if (rung == static_cast<int>(start)) return {FactorOutcome::kFresh, false};
     ++counters->pivot_escalations;
-    return FactorOutcome::kDegraded;
+    return {FactorOutcome::kFresh, true};
   }
-  return FactorOutcome::kSingular;
+  return {FactorOutcome::kSingular, false};
 }
 
 bool SparseLu::refactor(const CompressedMatrix& matrix, const SparseLuOptions& options) {

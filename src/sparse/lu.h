@@ -64,6 +64,38 @@ struct SparseLuOptions {
   double singularity_tolerance = 0.0;
 };
 
+/// Rungs of the one pivot-escalation ladder every fresh factorization walks,
+/// strictest first. The rungs are fixed levels, not adaptive, so a given
+/// matrix always lands on the same rung and escalated results stay
+/// deterministic. A caller chooses only where it starts; a factorization
+/// from a rung below the caller's start counts as degraded, and so does
+/// every replay of the plan it records (the plan keeps its threshold, see
+/// SparseLu::plan_below()).
+///
+/// Because threshold pivoting with a zero singularity tolerance accepts the
+/// largest entry of any nonzero row at every rung, a rung fails only when
+/// elimination leaves an exactly zero active submatrix. That happens in
+/// exact arithmetic only for a singular matrix; for a nonsingular one it is
+/// a rounding artifact of the pivot order, which a looser rung changes.
+enum class PivotRung {
+  /// SparseLuOptions{} (threshold 1e-3). The AC paths start here: sample
+  /// values move by fractions of a decade between points, so the default
+  /// pivot quality is kept and anything looser is flagged.
+  kDefault,
+  /// Threshold 1e-6. DC and transient Newton start here: a junction
+  /// conductance swings ~12 decades (forward bias ~1 S, cut off at
+  /// gmin = 1e-12 S) between iterates, so the pivot quality the default
+  /// threshold buys at one iterate holds no guarantee at the next; the
+  /// looser threshold lets the Markowitz search keep the sparsest order
+  /// and Newton corrects the lost accuracy on the following iterate.
+  /// Replays are still accepted against the default relaxed bar
+  /// (kReplayRelaxedThresholdScale times the default threshold).
+  kLoose,
+  /// Threshold 0: any nonzero pivot. Fails only on an exactly zero active
+  /// submatrix, which the caller reports as a singular system.
+  kAnyNonzero,
+};
+
 /// Pivots reused by a plan replay (scalar refactor() or a BatchedReplay
 /// lane) were not re-searched, so they are accepted with a threshold this
 /// much more permissive than the factor() one; a pivot degraded beyond it
@@ -126,6 +158,9 @@ inline std::complex<double> replay_div(const std::complex<double>& a,
 struct ReplayPlan {
   int dim = 0;
   std::size_t fill_in = 0;
+  /// SparseLuOptions::pivot_threshold of the factor() that recorded the
+  /// plan: every replay reuses pivots chosen at this threshold.
+  double pivot_threshold = 0.0;
   int permutation_sign = 1;
   std::vector<int> row_order;  // step -> original pivot row
   std::vector<int> col_order;  // step -> original pivot column
@@ -205,6 +240,11 @@ class SparseLu {
   /// structure alone.
   [[nodiscard]] bool can_replay(const CompressedMatrix& matrix) const noexcept;
 
+  /// True when a plan is recorded and its pivots were chosen on a rung
+  /// below `start`, i.e. with a looser threshold than `start`'s. A caller
+  /// starting at `start` counts every replay of such a plan as degraded.
+  [[nodiscard]] bool plan_below(PivotRung start) const noexcept;
+
   /// The recorded symbolic plan (nullptr before the first successful
   /// factor()). Shared read-only — the handle a BatchedReplay binds to.
   [[nodiscard]] std::shared_ptr<const ReplayPlan> plan() const noexcept { return plan_; }
@@ -261,36 +301,6 @@ class SparseLu {
   mutable std::vector<std::complex<double>> work_;
 };
 
-/// Rungs of the one pivot-escalation ladder every fresh factorization walks,
-/// strictest first. The rungs are fixed levels, not adaptive, so a given
-/// matrix always lands on the same rung and escalated results stay
-/// deterministic. A caller chooses only where it starts; a factorization
-/// from a rung below the caller's start counts as degraded.
-///
-/// Because threshold pivoting with a zero singularity tolerance accepts the
-/// largest entry of any nonzero row at every rung, a rung fails only when
-/// elimination leaves an exactly zero active submatrix. That happens in
-/// exact arithmetic only for a singular matrix; for a nonsingular one it is
-/// a rounding artifact of the pivot order, which a looser rung changes.
-enum class PivotRung {
-  /// SparseLuOptions{} (threshold 1e-3). The AC paths start here: sample
-  /// values move by fractions of a decade between points, so the default
-  /// pivot quality is kept and anything looser is flagged.
-  kDefault,
-  /// Threshold 1e-6. DC and transient Newton start here: a junction
-  /// conductance swings ~12 decades (forward bias ~1 S, cut off at
-  /// gmin = 1e-12 S) between iterates, so the pivot quality the default
-  /// threshold buys at one iterate holds no guarantee at the next; the
-  /// looser threshold lets the Markowitz search keep the sparsest order
-  /// and Newton corrects the lost accuracy on the following iterate.
-  /// Replays are still accepted against the default relaxed bar
-  /// (kReplayRelaxedThresholdScale times the default threshold).
-  kLoose,
-  /// Threshold 0: any nonzero pivot. Fails only on an exactly zero active
-  /// submatrix, which the caller reports as a singular system.
-  kAnyNonzero,
-};
-
 /// Factorization counters of one replay site, summed over its
 /// replay_or_factor() calls.
 struct FactorCounters {
@@ -309,22 +319,29 @@ struct FactorCounters {
 
 /// What replay_or_factor() did.
 enum class FactorOutcome {
-  kReplayed,  // the recorded plan replayed; the result lives in `lu`
-  kFresh,     // fresh factorization at the starting rung, in `fresh`
-  kDegraded,  // fresh factorization from a rung below the start, in `fresh`
+  kReplayed,  // the recorded plan replayed; the factors live in `lu`
+  kFresh,     // fresh factorization, in `fresh`
   kSingular,  // every rung from the start down failed
+};
+
+struct FactorResult {
+  FactorOutcome outcome = FactorOutcome::kSingular;
+  /// The factors in use were pivoted on a rung below the caller's start: a
+  /// fresh walk that escalated, or a replay of a plan one recorded.
+  bool degraded = false;
 };
 
 /// The one replay-or-refactor step of every plan-replay site: replay `lu`'s
 /// recorded plan on `matrix` (refactor() with default options, including
-/// its "lu_pivot" fault draw); when there is no plan, the replay is refused
-/// or `try_replay` is false, factor afresh into `fresh`, walking the ladder
-/// from `start`. Pass `fresh` == `lu` to persist the new plan, or an empty
-/// throwaway to leave `lu`'s plan pinned so later replays stay independent
-/// of this point. Bumps `counters` (when non-null) for every fresh walk.
-FactorOutcome replay_or_factor(SparseLu& lu, SparseLu& fresh, const CompressedMatrix& matrix,
-                               PivotRung start, FactorCounters* counters,
-                               bool try_replay = true);
+/// its "lu_pivot" fault draw); when there is no plan or the replay is
+/// refused, factor afresh into `fresh`, walking the ladder from `start`.
+/// Pass `fresh` == `lu` to persist the new plan, or an empty throwaway to
+/// leave `lu`'s plan pinned so later replays stay independent of this
+/// point; pass a plan-less `lu` to force a fresh factorization without a
+/// replay attempt (and without the fault draw). Bumps `counters` (when
+/// non-null) for every fresh walk.
+FactorResult replay_or_factor(SparseLu& lu, SparseLu& fresh, const CompressedMatrix& matrix,
+                              PivotRung start, FactorCounters* counters);
 
 /// Permutation parity: +1 for even, -1 for odd. `order[k]` must be a
 /// permutation of 0..n-1 (checked with assertions in debug builds).

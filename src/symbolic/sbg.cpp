@@ -90,9 +90,10 @@ SbgResult simplify_before_generation(const netlist::Circuit& circuit,
           never_trial.insert(s.element);
         }
       }
+      result.screened = true;
     } catch (const std::exception&) {
-      // Screening only prunes the trial list: when the adjoint solves fail
-      // (e.g. a singular system at a band point), every element is trialed.
+      // Screening only prunes the trial list: when the adjoint solves fail,
+      // every element is trialed and `screened` stays false.
     }
   }
 

@@ -54,6 +54,11 @@ struct SbgResult {
   double final_error = 0.0;
   std::size_t original_elements = 0;
   std::size_t remaining_elements = 0;
+  /// True when sensitivity screening ran and pruned the trial list; false
+  /// when it was off, the circuit was not canonical, or its adjoint solves
+  /// failed (a singular system or a zero transfer at a band point). Every
+  /// element is trialed then.
+  bool screened = false;
 };
 
 /// Greedy SBG against the interpolated reference.

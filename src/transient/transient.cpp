@@ -250,6 +250,7 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
   const dc::NewtonLimits limits{options_.bias.max_voltage_step, options_.newton_reltol,
                                 options_.newton_abstol_v, options_.newton_abstol_i};
   sparse::FactorCounters counters;
+  sparse::SparseLu no_plan;  // replay source of a forced fresh factorization
   auto factor_bucket = [&](int key, const sparse::CompressedMatrix& matrix,
                            double t_new) -> sparse::SparseLu& {
     // A bucket counts as used the moment its plan is touched — including a
@@ -260,15 +261,15 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
     if (key != kInitBucket) buckets_used.insert(key);
     sparse::SparseLu& lu = buckets_[key];
     const bool forced = lu.can_replay(matrix) && support::fault("newton_step");
-    const sparse::FactorOutcome outcome =
-        sparse::replay_or_factor(lu, lu, matrix, sparse::PivotRung::kLoose, &counters, !forced);
-    if (outcome == sparse::FactorOutcome::kSingular) {
+    const sparse::FactorResult step = sparse::replay_or_factor(
+        forced ? no_plan : lu, lu, matrix, sparse::PivotRung::kLoose, &counters);
+    if (step.outcome == sparse::FactorOutcome::kSingular) {
       std::ostringstream os;
       os << "transient: singular system at t = " << t_new
          << " (floating node or degenerate companion network?)";
       throw mna::SingularSystemError(os.str());
     }
-    if (outcome == sparse::FactorOutcome::kDegraded) result.degraded = true;
+    if (step.degraded) result.degraded = true;
     return lu;
   };
 

@@ -44,17 +44,21 @@ netlist::Circuit deck(Deck kind) {
       c.add_conductance("g3", "c", "0", 3e-3);
       break;
     case Deck::kNearSingular:
-      // The default rung's pivot order cancels the last pivot to exactly
-      // zero in rounding; the 1e-6 rung may take the 1e-4 entry first and
-      // does not.
-      c.add_conductance("ga", "a", "0", 1.0 / 3.0);
-      c.add_vccs("g02", "a", "0", "c", "0", 1e-4);
-      c.add_vccs("g10", "b", "0", "a", "0", 1e4);
-      c.add_vccs("g11", "b", "0", "b", "0", -1.0 / 3.0);
-      c.add_vccs("g12", "b", "0", "c", "0", 3.0);
-      c.add_vccs("g20", "c", "0", "a", "0", 1e4);
-      c.add_vccs("g21", "c", "0", "b", "0", 1.0 / 3.0);
-      c.add_conductance("gc", "c", "0", 3.0);
+      // Nonsingular (det = -2^-54 exactly), but the default rung cancels in
+      // rounding: it pivots on gac first, which turns c's b-entry into
+      // 1/3 + 2/3, rounded to exactly 1, and then on gb, which leaves c's
+      // a-entry 2^-12 - 2 * 2^-13 = 0. The 1e-6 rung may pivot on gba
+      // first and does not cancel. Every product in either pivot order has
+      // a power-of-two factor and is exact, so only IEEE-rounded additions
+      // and divisions remain: the outcome is the same with or without
+      // fused multiply-add contraction.
+      c.add_vccs("gab", "a", "0", "b", "0", -1.0 / 3.0);
+      c.add_vccs("gac", "a", "0", "c", "0", 0.5);
+      c.add_vccs("gba", "b", "0", "a", "0", 2.0);
+      c.add_conductance("gb", "b", "0", 8192.0);
+      c.add_vccs("gca", "c", "0", "a", "0", 1.0 / 4096.0);
+      c.add_vccs("gcb", "c", "0", "b", "0", 1.0 / 3.0);
+      c.add_conductance("gc", "c", "0", 1.0);
       break;
     case Deck::kSingular:
       // Node x hangs off c through a capacitor only: at DC its row vanishes.
@@ -292,25 +296,36 @@ TEST(ReplayOrFactor, RungsAreWalkedFromTheCallersStart) {
 
   sparse::FactorCounters counters;
   sparse::SparseLu from_default;
-  EXPECT_EQ(sparse::replay_or_factor(from_default, from_default, matrix, PivotRung::kDefault,
-                                     &counters),
-            sparse::FactorOutcome::kDegraded);
+  sparse::FactorResult step =
+      sparse::replay_or_factor(from_default, from_default, matrix, PivotRung::kDefault, &counters);
+  EXPECT_EQ(step.outcome, sparse::FactorOutcome::kFresh);
+  EXPECT_TRUE(step.degraded);
   sparse::SparseLu from_loose;
-  EXPECT_EQ(
-      sparse::replay_or_factor(from_loose, from_loose, matrix, PivotRung::kLoose, &counters),
-      sparse::FactorOutcome::kFresh);
+  step = sparse::replay_or_factor(from_loose, from_loose, matrix, PivotRung::kLoose, &counters);
+  EXPECT_EQ(step.outcome, sparse::FactorOutcome::kFresh);
+  EXPECT_FALSE(step.degraded);
   EXPECT_EQ(counters.fresh_factorizations, 2u);
   EXPECT_EQ(counters.pivot_escalations, 1u);
 
   // Both plans replay the matrix; a throwaway target keeps the plan pinned.
+  // A replay inherits the rung that recorded its plan, relative to the
+  // caller's start, without counting an escalation.
   sparse::SparseLu throwaway;
-  EXPECT_EQ(sparse::replay_or_factor(from_default, throwaway, matrix, PivotRung::kDefault,
-                                     &counters),
-            sparse::FactorOutcome::kReplayed);
+  step = sparse::replay_or_factor(from_default, throwaway, matrix, PivotRung::kDefault, &counters);
+  EXPECT_EQ(step.outcome, sparse::FactorOutcome::kReplayed);
+  EXPECT_TRUE(step.degraded);
   EXPECT_FALSE(throwaway.has_plan());
-  EXPECT_EQ(sparse::replay_or_factor(from_default, throwaway, matrix, PivotRung::kDefault,
-                                     &counters, /*try_replay=*/false),
-            sparse::FactorOutcome::kDegraded);
+  step = sparse::replay_or_factor(from_default, throwaway, matrix, PivotRung::kLoose, &counters);
+  EXPECT_EQ(step.outcome, sparse::FactorOutcome::kReplayed);
+  EXPECT_FALSE(step.degraded);
+  EXPECT_EQ(counters.pivot_escalations, 1u);
+
+  // A plan-less replay source forces a fresh walk.
+  sparse::SparseLu no_plan;
+  step = sparse::replay_or_factor(no_plan, throwaway, matrix, PivotRung::kDefault, &counters);
+  EXPECT_EQ(step.outcome, sparse::FactorOutcome::kFresh);
+  EXPECT_TRUE(step.degraded);
+  EXPECT_FALSE(no_plan.has_plan());
   EXPECT_TRUE(throwaway.has_plan());
   EXPECT_EQ(counters.fresh_factorizations, 3u);
 }

@@ -168,6 +168,8 @@ TEST(Sbg, SensitivityScreeningMatchesBruteForce) {
 
   const SbgResult a = simplify_before_generation(c, spec, reference.reference, brute);
   const SbgResult b = simplify_before_generation(c, spec, reference.reference, screened);
+  EXPECT_FALSE(a.screened);
+  EXPECT_TRUE(b.screened);
   ASSERT_EQ(a.actions.size(), b.actions.size());
   for (std::size_t i = 0; i < a.actions.size(); ++i) {
     EXPECT_EQ(a.actions[i].element, b.actions[i].element) << i;
@@ -189,7 +191,32 @@ TEST(Sbg, ScreeningToleratesNonCanonicalCircuits) {
   options.f_stop_hz = 1e6;
   options.sensitivity_screening = true;
   const SbgResult result = simplify_before_generation(c, spec, reference.reference, options);
+  EXPECT_FALSE(result.screened);
   EXPECT_EQ(result.simplified.find_element("rpar"), nullptr);
+}
+
+TEST(Sbg, FailedScreeningIsReportedAndEveryElementIsTrialed) {
+  // Node x only controls gx, so its row of the adjoint system is empty and
+  // screening fails; the reference comes from the circuit without gx.
+  netlist::Circuit c;
+  c.add_conductance("g1", "in", "out", 1e-3);
+  c.add_conductance("g2", "out", "0", 1e-3);
+  c.add_conductance("gpar", "in", "out", 1e-9);
+  c.add_capacitor("cmain", "out", "0", 1e-9);
+  const auto spec = mna::TransferSpec::voltage_gain("in", "out");
+  const refgen::AdaptiveResult reference = refgen::generate_reference(c, spec);
+  ASSERT_TRUE(reference.complete);
+  c.add_vccs("gx", "out", "0", "x", "0", 1e-9);
+
+  SbgOptions options;
+  options.epsilon = 0.01;
+  options.f_start_hz = 1e2;
+  options.f_stop_hz = 1e6;
+  options.sensitivity_screening = true;
+  const SbgResult result = simplify_before_generation(c, spec, reference.reference, options);
+  EXPECT_FALSE(result.screened);
+  EXPECT_EQ(result.simplified.find_element("gx"), nullptr);
+  EXPECT_EQ(result.simplified.find_element("gpar"), nullptr);
 }
 
 }  // namespace
