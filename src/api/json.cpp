@@ -1,9 +1,10 @@
 #include "api/json.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <system_error>
 
 #include "support/fault_injection.h"
 
@@ -17,9 +18,15 @@ const Json::Object kEmptyObject;
 
 void append_escaped(std::string& out, const std::string& text) {
   out += '"';
-  for (const char c : text) {
-    const auto u = static_cast<unsigned char>(c);
-    switch (c) {
+  // Clean runs go out in one append; only '"', '\\' and control bytes stop one.
+  const char* run = text.data();
+  const char* const end = run + text.size();
+  for (const char* at = run; at != end; ++at) {
+    const auto u = static_cast<unsigned char>(*at);
+    if (u >= 0x20 && u != '"' && u != '\\') continue;
+    out.append(run, at);
+    run = at + 1;
+    switch (*at) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\b': out += "\\b"; break;
@@ -27,39 +34,42 @@ void append_escaped(std::string& out, const std::string& text) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (u < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", u);
-          out += buffer;
-        } else {
-          out += c;
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[u >> 4], kHex[u & 0xf]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(run, end);
   out += '"';
 }
 
+/// Shortest "%.{p}g" text (p <= 17) that reads back as `value`. The
+/// shortest round-trip digit count of to_chars(scientific) is a lower bound
+/// on p: a p-digit %g text that round-trips is itself a p-digit round-trip
+/// representation. Correct rounding may still miss at that count, so step
+/// up until the round trip holds (%.17g always does).
 void append_number(std::string& out, double value) {
   if (!std::isfinite(value)) {
     out += "null";
     return;
   }
   char buffer[32];
-  // Shortest representation that still round-trips a double.
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  double reparsed = 0.0;
-  std::sscanf(buffer, "%lg", &reparsed);
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, value);
-    std::sscanf(candidate, "%lg", &reparsed);
-    if (reparsed == value) {
-      std::memcpy(buffer, candidate, sizeof(candidate));
-      break;
+  char* const end = buffer + sizeof(buffer);
+  char* const shortest_end = std::to_chars(buffer, end, value, std::chars_format::scientific).ptr;
+  int precision = static_cast<int>(std::count_if(
+      buffer, std::find(buffer, shortest_end, 'e'), [](char c) { return c >= '0' && c <= '9'; }));
+  for (;; ++precision) {
+    char* const text_end =
+        std::to_chars(buffer, end, value, std::chars_format::general, precision).ptr;
+    double reparsed = 0.0;
+    const std::from_chars_result parsed = std::from_chars(buffer, text_end, reparsed);
+    if (precision >= 17 || (parsed.ec == std::errc() && reparsed == value)) {
+      out.append(buffer, text_end);
+      return;
     }
   }
-  out += buffer;
 }
 
 /// Recursive-descent parser over the raw text, tracking line/column.

@@ -4,10 +4,16 @@
 // needs both directions (parse requests, emit responses), which the flat
 // metric writer in support/bench_json.h cannot do. This is a small strict
 // JSON implementation: objects preserve insertion order (stable wire output
-// for diffs and golden tests), numbers are IEEE doubles, parse errors come
-// back as api::Status with line/column, and non-finite numbers serialize as
-// null (RFC 8259 has no inf/nan; payloads that must round-trip extreme
-// values carry them as hex-float strings instead — see api/serialize.h).
+// for diffs and golden tests), numbers are IEEE doubles, and parse errors
+// come back as api::Status with line/column.
+//
+// Wire contract (docs/api.md "Number grammar"): a finite number encodes as
+// the shortest printf("%.{p}g") text, p <= 17, that reads back as the same
+// double; non-finite numbers encode as null (RFC 8259 has no inf/nan;
+// payloads that must round-trip extreme values carry them as hex-float
+// strings, exactly glibc's "%a" — see hex_double in api/serialize.h). Strings
+// escape the quote, the backslash and bytes below 0x20; other bytes pass
+// through raw.
 #pragma once
 
 #include <cstddef>

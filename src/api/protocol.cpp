@@ -320,17 +320,18 @@ Json Session::dispatch(const Json& request) {
       if (!(status = require_string(params, "job_id", &token)).ok()) return status;
       Result<JobId> job = parse_job_id(token);
       if (!job.ok()) return job.status();
+      std::optional<Result<JobOutcome>> outcome;
       if (method == "wait") {
         // Blocks the session's reader thread; events keep streaming.
-        Result<JobOutcome> outcome = core_.jobs().wait(job.value());
-        if (!outcome.ok()) return outcome.status();
+        outcome = core_.jobs().wait(job.value());
+        if (!outcome->ok()) return outcome->status();
       }
       Result<JobInfo> info = core_.jobs().poll(job.value());
       if (!info.ok()) return info.status();
       Json out = job_info_json(info.value());
       if (info.value().state == JobState::kDone) {
-        Result<JobOutcome> outcome = core_.jobs().wait(job.value());  // immediate
-        if (outcome.ok()) out.set("result", to_json(outcome.value()));
+        if (!outcome) outcome = core_.jobs().wait(job.value());  // immediate
+        if (outcome->ok()) out.set("result", to_json(outcome->value()));
       }
       return out;
     }

@@ -1,34 +1,58 @@
 #include "api/serialize.h"
 
+#include <bit>
+#include <charconv>
 #include <climits>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 namespace symref::api {
 
-namespace {
-
-/// Hex-float rendering of a double: bit-exact and inf/nan-capable.
 std::string hex_double(double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer), "%a", value);
-  return buffer;
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  const int biased_exponent = static_cast<int>((bits >> 52) & 0x7ff);
+  std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
+  char buffer[32];
+  char* at = buffer;
+  if ((bits >> 63) != 0) *at++ = '-';
+  if (biased_exponent == 0x7ff) return std::string(buffer, at) + (fraction == 0 ? "inf" : "nan");
+  // Zeros print as 0x0p+0; subnormals keep the leading 0 at exponent -1022.
+  int exponent = biased_exponent - 1023;
+  if (biased_exponent == 0) exponent = fraction == 0 ? 0 : -1022;
+  *at++ = '0';
+  *at++ = 'x';
+  *at++ = biased_exponent == 0 ? '0' : '1';
+  if (fraction != 0) {
+    int digits = 13;  // 52 fraction bits, trailing zero nibbles trimmed
+    for (; (fraction & 0xf) == 0; fraction >>= 4) --digits;
+    *at++ = '.';
+    for (int shift = 4 * (digits - 1); shift >= 0; shift -= 4) {
+      *at++ = "0123456789abcdef"[(fraction >> shift) & 0xf];
+    }
+  }
+  *at++ = 'p';
+  *at++ = exponent < 0 ? '-' : '+';
+  at = std::to_chars(at, buffer + sizeof(buffer), exponent < 0 ? -exponent : exponent).ptr;
+  return std::string(buffer, at);
 }
 
+namespace {
+
 Json scaled_to_json(const numeric::ScaledDouble& value) {
-  Json out = Json::object();
-  out.set("mantissa", hex_double(value.mantissa()));
-  out.set("exp2", static_cast<double>(value.exponent2()));
+  Json::Object out;
+  out.reserve(3);
+  out.emplace_back("mantissa", hex_double(value.mantissa()));
+  out.emplace_back("exp2", static_cast<double>(value.exponent2()));
   // Convenience double for consumers that do not need the extended range;
   // null when the value over/underflows IEEE double (saturated to_double()
   // would be misleading, and JSON cannot carry the inf anyway).
   const double approx = value.to_double();
   if (std::isfinite(approx) && (approx != 0.0 || value.is_zero())) {
-    out.set("approx", approx);
+    out.emplace_back("approx", approx);
   } else {
-    out.set("approx", nullptr);
+    out.emplace_back("approx", nullptr);
   }
   return out;
 }
@@ -424,16 +448,18 @@ Json to_json(const TransientResponse& response) {
 namespace {
 
 Json simplified_terms_to_json(const std::vector<refgen::SimplifiedTerm>& terms) {
-  Json out = Json::array();
+  // Member lists are sized up front: a simplify payload carries ~10k
+  // terms, and growing each list one push at a time dominated the encode.
+  Json::Array out;
+  out.reserve(terms.size());
   for (const refgen::SimplifiedTerm& term : terms) {
-    Json entry = Json::object();
-    entry.set("coefficient", term.coefficient);
-    Json symbols = Json::array();
-    for (const std::string& symbol : term.symbols) symbols.push_back(symbol);
-    entry.set("symbols", std::move(symbols));
-    entry.set("s_power", term.s_power);
-    entry.set("value", scaled_to_json(term.value));
-    out.push_back(std::move(entry));
+    Json::Object entry;
+    entry.reserve(4);
+    entry.emplace_back("coefficient", term.coefficient);
+    entry.emplace_back("symbols", Json::Array(term.symbols.begin(), term.symbols.end()));
+    entry.emplace_back("s_power", term.s_power);
+    entry.emplace_back("value", scaled_to_json(term.value));
+    out.emplace_back(std::move(entry));
   }
   return out;
 }

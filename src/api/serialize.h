@@ -11,6 +11,8 @@
 // reject inf/nan. Everything else is plain JSON numbers.
 #pragma once
 
+#include <string>
+
 #include "api/json.h"
 #include "api/requests.h"
 #include "api/status.h"
@@ -20,6 +22,13 @@
 namespace symref::api {
 
 // --- Encoding ---------------------------------------------------------------
+
+/// Hex-float text of a double, byte for byte what glibc's "%a" prints:
+/// "0x1.<hex>p±e" (trailing zero nibbles trimmed) for normal values,
+/// "0x0p+0"/"-0x0p+0" for zeros, "0x0.<hex>p-1022" for subnormals, and
+/// "inf"/"-inf"/"nan"/"-nan" for the non-finite values. Bit-exact and
+/// readable by strtod / Python's float.fromhex.
+std::string hex_double(double value);
 
 /// {"code": "parse_error", "message": "...", "line": 3, "column": 7}
 /// (message/line/column omitted when empty/unknown; ok status is

@@ -4,10 +4,63 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
+
+#include "wire_fixtures.h"
 
 namespace symref::api {
 namespace {
+
+// The encoders the wire format was defined by, kept verbatim as oracles:
+// the shortest "%.{p}g" text (p < 17, else %.17g) that sscanf reads back
+// as the value, and a per-character escape loop.
+std::string oracle_number(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  double reparsed = 0.0;
+  std::sscanf(buffer, "%lg", &reparsed);
+  for (int precision = 1; precision < 17; ++precision) {
+    char candidate[32];
+    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, value);
+    std::sscanf(candidate, "%lg", &reparsed);
+    if (reparsed == value) {
+      std::memcpy(buffer, candidate, sizeof(candidate));
+      break;
+    }
+  }
+  return buffer;
+}
+
+std::string oracle_string(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    const auto u = static_cast<unsigned char>(c);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (u < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x", u);
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
 
 TEST(Json, BuildAndDumpCompact) {
   Json out = Json::object();
@@ -49,6 +102,45 @@ TEST(Json, StringEscapes) {
   EXPECT_EQ(value.dump(), R"("a\"b\\c\nd\te\u0001")");
   const Json back = Json::parse(value.dump()).take();
   EXPECT_EQ(back.as_string(), value.as_string());
+}
+
+TEST(JsonDifferential, NumbersMatchTheSnprintfOracle) {
+  std::vector<double> inputs = wire_fixtures::seeded_doubles(1'000'000, 0x5eed);
+  for (const double value : wire_fixtures::special_doubles()) inputs.push_back(value);
+  for (const double value : wire_fixtures::non_finite_doubles()) inputs.push_back(value);
+  for (const double value : wire_fixtures::powers_of_two()) inputs.push_back(value);
+  std::vector<std::string> examples;
+  const std::size_t mismatches = wire_fixtures::differential_mismatches(
+      inputs, [](double value) { return Json(value).dump(); }, oracle_number, &examples);
+  EXPECT_EQ(mismatches, 0u) << "of " << inputs.size() << " inputs";
+  for (const std::string& example : examples) ADD_FAILURE() << example;
+}
+
+TEST(JsonDifferential, SpecialNumbersEncodeAsBefore) {
+  EXPECT_EQ(Json(-0.0).dump(), "-0");
+  EXPECT_EQ(Json(5e-324).dump(), "5e-324");
+  EXPECT_EQ(Json(1e23).dump(), "1e+23");
+  EXPECT_EQ(Json(9007199254740993.0).dump(), "9007199254740992");
+  EXPECT_EQ(Json(100000.0).dump(), "1e+05");
+  EXPECT_EQ(Json(300.0).dump(), "3e+02");
+  EXPECT_EQ(Json(std::numeric_limits<double>::max()).dump(), "1.7976931348623157e+308");
+  // Shortest round trip is 16 digits, but %.16g rounds to a text that
+  // does not read back.
+  EXPECT_EQ(Json(0x1p-1017).dump(), "7.1202363472230444e-307");
+}
+
+TEST(JsonDifferential, EveryByteEscapesLikeTheOracle) {
+  std::string all;
+  for (int byte = 0; byte <= 0xff; ++byte) {
+    const std::string text = "ab" + std::string(1, static_cast<char>(byte)) + "cd";
+    EXPECT_EQ(Json(text).dump(), oracle_string(text)) << "byte 0x" << std::hex << byte;
+    EXPECT_EQ(Json(text.substr(2, 1)).dump(), oracle_string(text.substr(2, 1)))
+        << "byte 0x" << std::hex << byte;
+    all += static_cast<char>(byte);
+  }
+  EXPECT_EQ(Json(all).dump(), oracle_string(all));
+  EXPECT_EQ(Json(all + all).dump(), oracle_string(all + all));
+  EXPECT_EQ(Json(std::string()).dump(), "\"\"");
 }
 
 TEST(Json, ParseDocument) {

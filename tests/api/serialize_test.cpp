@@ -3,12 +3,54 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "api/service.h"
+#include "wire_fixtures.h"
 
 namespace symref::api {
 namespace {
+
+/// The hex-float encoder the wire format was defined by, kept as the oracle.
+std::string oracle_hex(double value) {
+  char buffer[48];
+  std::snprintf(buffer, sizeof(buffer), "%a", value);
+  return buffer;
+}
+
+TEST(SerializeHexDouble, MatchesPrintfPercentA) {
+  std::vector<double> inputs = wire_fixtures::seeded_doubles(1'000'000, 0x5eed);
+  for (const double value : wire_fixtures::special_doubles()) inputs.push_back(value);
+  for (const double value : wire_fixtures::non_finite_doubles()) inputs.push_back(value);
+  for (const double value : wire_fixtures::powers_of_two()) inputs.push_back(value);
+  std::vector<std::string> examples;
+  const std::size_t mismatches =
+      wire_fixtures::differential_mismatches(inputs, hex_double, oracle_hex, &examples);
+  EXPECT_EQ(mismatches, 0u) << "of " << inputs.size() << " inputs";
+  for (const std::string& example : examples) ADD_FAILURE() << example;
+}
+
+TEST(SerializeHexDouble, EveryClassOfValue) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(hex_double(0.0), "0x0p+0");
+  EXPECT_EQ(hex_double(-0.0), "-0x0p+0");
+  EXPECT_EQ(hex_double(1.0), "0x1p+0");
+  EXPECT_EQ(hex_double(-3.0), "-0x1.8p+1");
+  EXPECT_EQ(hex_double(0.1), "0x1.999999999999ap-4");
+  EXPECT_EQ(hex_double(5e-324), "0x0.0000000000001p-1022");
+  EXPECT_EQ(hex_double(std::nextafter(std::numeric_limits<double>::min(), 0.0)),
+            "0x0.fffffffffffffp-1022");
+  EXPECT_EQ(hex_double(std::numeric_limits<double>::max()), "0x1.fffffffffffffp+1023");
+  EXPECT_EQ(hex_double(inf), "inf");
+  EXPECT_EQ(hex_double(-inf), "-inf");
+  EXPECT_EQ(hex_double(nan), "nan");
+  EXPECT_EQ(hex_double(std::copysign(nan, -1.0)), "-nan");
+}
 
 TEST(SerializeStatus, OkAndErrorShapes) {
   EXPECT_EQ(to_json(Status()).dump(), R"({"code":"ok"})");

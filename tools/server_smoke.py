@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Smoke-test the refgend daemon over stdio.
+"""Smoke-test the refgend daemon over stdio and TCP.
 
 Usage: server_smoke.py <refgend> <refgen> <netlist>
 
-Seven scenarios, all against the bundled netlist (the transient scenario
+Eight scenarios, all against the bundled netlist (the transient scenario
 builds its own small nonlinear deck — the bundled models have no
 time-varying sources):
   1. Four CONCURRENT stdio-scripted sessions (one refgend process each):
@@ -31,6 +31,10 @@ time-varying sources):
      a restarted daemon sharing the store dir must reply "stored": true
      with a result byte-identical to the pre-crash response. A corrupted
      store entry must be quarantined (<key>.corrupt) and recomputed.
+  8. TCP transport: a simplify on ua741_core.cir at a 10% budget (a
+     multi-MB response line) run through `refgen --connect` against
+     `refgend --listen=0` must equal the in-process `refgen --simplify`
+     payload, timings and the cache flag aside.
 
 Set REFGEN_CHAOS=1 to additionally run every store-scenario daemon plus a
 retry session under low-probability injected faults (REFGEN_FAULT): results
@@ -435,6 +439,38 @@ def main():
               + (" [chaos: REFGEN_FAULT active]" if chaos else ""))
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
+
+    # --- 8. TCP: refgen --connect against refgend --listen=0 ---------------
+    simplify_args = [core_path, "--in=inp", "--out=vo", "--simplify",
+                     "--error-budget=0.1", "--json=-"]
+    direct = subprocess.run([refgen, *simplify_args], capture_output=True,
+                            text=True, timeout=300)
+    assert direct.returncode == 0, direct.stderr
+    local = json.loads(direct.stdout)["responses"][0]
+    assert local["status"]["code"] == "ok", local
+    proc = subprocess.Popen([daemon, "--listen=0"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        banner = proc.stdout.readline()
+        assert banner.startswith("refgend: listening on 127.0.0.1:"), banner
+        port = banner.strip().rsplit(":", 1)[1]
+        remote = subprocess.run([refgen, *simplify_args, f"--connect={port}"],
+                                capture_output=True, text=True, timeout=300)
+        assert remote.returncode == 0, remote.stderr
+        over_tcp = json.loads(remote.stdout)["responses"][0]
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, f"refgend --listen exited {proc.returncode}: {err}"
+    scrub = ("seconds", "engine_seconds", "from_cache")
+    got = json.dumps({k: v for k, v in over_tcp.items() if k not in scrub},
+                     sort_keys=True)
+    want = json.dumps({k: v for k, v in local.items() if k not in scrub},
+                      sort_keys=True)
+    assert got == want, "simplify over TCP differs from the in-process run"
+    print(f"tcp OK: {over_tcp['kept_terms']}-term simplify "
+          f"({len(remote.stdout) >> 20} MB) through refgen --connect, "
+          f"byte-identical to the in-process run")
 
 
 if __name__ == "__main__":

@@ -34,13 +34,17 @@ class FdTransport : public api::protocol::LineTransport {
 
   bool read_line(std::string* line) override {
     for (;;) {
-      const std::size_t newline = pending_.find('\n');
+      // Resume the newline search where the previous one stopped, so a
+      // multi-MB line costs one pass over its bytes, not one per recv.
+      const std::size_t newline = pending_.find('\n', scanned_);
       if (newline != std::string::npos) {
         line->assign(pending_, 0, newline);
         if (!line->empty() && line->back() == '\r') line->pop_back();
         pending_.erase(0, newline + 1);
+        scanned_ = 0;
         return true;
       }
+      scanned_ = pending_.size();
       char buffer[4096];
       const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
       if (n > 0) {
@@ -52,6 +56,7 @@ class FdTransport : public api::protocol::LineTransport {
       if (!pending_.empty()) {
         line->swap(pending_);
         pending_.clear();
+        scanned_ = 0;
         return true;
       }
       return false;
@@ -79,6 +84,7 @@ class FdTransport : public api::protocol::LineTransport {
  private:
   int fd_ = -1;
   std::string pending_;
+  std::size_t scanned_ = 0;  // pending_[0, scanned_) holds no newline
 };
 
 /// Listening socket on 127.0.0.1:`port` (0 = ephemeral). Returns the fd and
