@@ -19,6 +19,10 @@
 
 #include "numeric/scaled.h"
 
+namespace symref::support {
+class ThreadPool;
+}
+
 namespace symref::interp {
 
 /// Evaluation-point bookkeeping for one K-point interpolation.
@@ -46,8 +50,10 @@ class UnitCircleSampler {
 };
 
 /// Recover normalized coefficients from all-K-point samples (IDFT wrapper).
+/// `pool` spreads the transform's output indices over its lanes without
+/// changing a bit of the result.
 std::vector<numeric::ScaledComplex> coefficients_from_samples(
-    const std::vector<numeric::ScaledComplex>& samples);
+    const std::vector<numeric::ScaledComplex>& samples, support::ThreadPool* pool = nullptr);
 
 /// |Re p_i| of each coefficient — the region logic works on magnitudes of
 /// the real parts (the polynomials are real; imaginary parts are noise).

@@ -296,6 +296,12 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
   if (s_hats.size() == 1) return samples;
 
   const int lanes = pool != nullptr ? pool->size() : 1;
+  // Per-lane fallback counters, summed into the evaluator's after the
+  // batch: the totals do not depend on which lane refused a point.
+  std::vector<sparse::FactorCounters> lane_counters(static_cast<std::size_t>(lanes));
+  auto fold_counters = [&] {
+    for (const sparse::FactorCounters& lane : lane_counters) counters_ += lane;
+  };
 
   // The batched kernel needs a structurally replayable baseline plan; when
   // point 0 left none (singular, or the pattern changed), the whole batch
@@ -320,7 +326,8 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
         const int count = static_cast<int>(
             std::min<std::size_t>(static_cast<std::size_t>(width), end - at));
         evaluate_group_batched(*slot, s_hats.data() + at + 1, count, f_scale, g_scale,
-                               /*counters=*/nullptr, samples.data() + at + 1);
+                               &lane_counters[static_cast<std::size_t>(lane)],
+                               samples.data() + at + 1);
       }
     };
     if (pool != nullptr) {
@@ -328,6 +335,7 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
     } else {
       body(0, s_hats.size() - 1, 0);
     }
+    fold_counters();
     batched_lane_count_ += s_hats.size() - 1;
     return samples;
   }
@@ -347,8 +355,10 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
     std::unique_ptr<EvalContext>& slot = contexts[static_cast<std::size_t>(lane)];
     if (!slot) slot = std::make_unique<EvalContext>(EvalContext{assembly_, lu_, {}});
     for (std::size_t i = begin; i < end; ++i) {
-      samples[i + 1] = evaluate_against(slot->assembly, slot->lu, slot->rhs,
-                                        /*counters=*/nullptr, s_hats[i + 1], f_scale, g_scale);
+      samples[i + 1] =
+          evaluate_against(slot->assembly, slot->lu, slot->rhs,
+                           &lane_counters[static_cast<std::size_t>(lane)], s_hats[i + 1],
+                           f_scale, g_scale);
     }
   };
   if (pool != nullptr) {
@@ -356,6 +366,7 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
   } else {
     body(0, s_hats.size() - 1, 0);
   }
+  fold_counters();
   return samples;
 }
 

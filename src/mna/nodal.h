@@ -207,10 +207,10 @@ class CofactorEvaluator {
 
   /// Fresh (non-replay) factorizations this instance has run — the plan
   /// probe of parameter-sweep tests and benches. Counts evaluate()'s
-  /// fallback factorizations and evaluate_pinned()'s throwaway ones; the
-  /// per-lane contexts of evaluate_batch() are not counted (they are
-  /// throwaway clones shared across lanes). Single-threaded like the rest
-  /// of the instance.
+  /// fallback factorizations, evaluate_pinned()'s throwaway ones and the
+  /// throwaway fallbacks of evaluate_batch()'s pool lanes (tallied per lane,
+  /// summed after the batch, so the count is the same at any thread count).
+  /// Single-threaded like the rest of the instance.
   [[nodiscard]] std::uint64_t fresh_factor_count() const noexcept {
     return counters_.fresh_factorizations;
   }
@@ -258,10 +258,9 @@ class CofactorEvaluator {
 
   /// One point against a pinned plan: assemble into `assembly`, replay
   /// `lu`'s plan, and when the replay refuses run a throwaway fresh
-  /// factorization of this point alone, counted into `counters` (null on
-  /// pool lanes: the evaluator's counters are bumped on the caller thread
-  /// only). `lu`'s plan is never replaced, keeping later points
-  /// history-independent.
+  /// factorization of this point alone, counted into `counters` (a pool
+  /// lane's own tally, summed into the evaluator's on the caller thread).
+  /// `lu`'s plan is never replaced, keeping later points history-independent.
   [[nodiscard]] Sample evaluate_against(PatternedMatrix& assembly, sparse::SparseLu& lu,
                                         std::vector<std::complex<double>>& rhs,
                                         sparse::FactorCounters* counters,
@@ -272,8 +271,8 @@ class CofactorEvaluator {
   /// context.replay: batched assembly, batched replay, batched cofactor
   /// solve, then per-lane sample assembly. Refused lanes fall back to a
   /// throwaway fresh factorization of that point alone, counted into
-  /// `counters` (the evaluator's on the pinned caller-thread path, null on
-  /// pool lanes — matching the scalar paths' accounting).
+  /// `counters` (the evaluator's on the pinned caller-thread path, a lane's
+  /// own tally on pool lanes — matching the scalar paths' accounting).
   void evaluate_group_batched(BatchContext& context, const std::complex<double>* s_hats,
                               int count, double f_scale, double g_scale,
                               sparse::FactorCounters* counters, Sample* out) const;

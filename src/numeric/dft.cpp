@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "numeric/kahan.h"
+#include "support/thread_pool.h"
 
 namespace symref::numeric {
 
@@ -48,7 +49,7 @@ void fft_radix2(std::vector<std::complex<double>>& data, int sign) {
 }
 
 std::vector<std::complex<double>> transform(const std::vector<std::complex<double>>& input,
-                                            int sign) {
+                                            int sign, support::ThreadPool* pool) {
   const std::size_t n = input.size();
   if (n == 0) return {};
   if (is_power_of_two(n)) {
@@ -58,13 +59,29 @@ std::vector<std::complex<double>> transform(const std::vector<std::complex<doubl
   }
   // Direct transform with compensated accumulation: the interpolation's
   // round-off floor is set right here, so every extra digit matters.
+  // twiddle() reduces j*k mod n before forming the angle, so the n distinct
+  // twiddles, tabulated once and walked with stride k, are the same bits.
+  std::vector<std::complex<double>> table(n);
+  for (std::size_t m = 0; m < n; ++m) table[m] = twiddle(m, n, sign);
   std::vector<std::complex<double>> output(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    KahanSum<std::complex<double>> sum;
-    for (std::size_t j = 0; j < n; ++j) {
-      sum.add(input[j] * twiddle(static_cast<std::uint64_t>(j) * k, n, sign));
+  // Each output index sums in j order and writes only its own slot, so the
+  // rows may run on any lane in any order.
+  auto rows = [&](std::size_t begin, std::size_t end, int) {
+    for (std::size_t k = begin; k < end; ++k) {
+      KahanSum<std::complex<double>> sum;
+      std::size_t m = 0;  // j*k mod n
+      for (std::size_t j = 0; j < n; ++j) {
+        sum.add(input[j] * table[m]);
+        m += k;
+        if (m >= n) m -= n;
+      }
+      output[k] = sum.value();
     }
-    output[k] = sum.value();
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(n, rows);
+  } else {
+    rows(0, n, 0);
   }
   return output;
 }
@@ -80,29 +97,29 @@ std::vector<std::complex<double>> unit_circle_points(std::size_t count) {
 }
 
 std::vector<std::complex<double>> dft(const std::vector<std::complex<double>>& input) {
-  return transform(input, -1);
+  return transform(input, -1, nullptr);
 }
 
 std::vector<std::complex<double>> idft(const std::vector<std::complex<double>>& input) {
-  std::vector<std::complex<double>> output = transform(input, +1);
+  std::vector<std::complex<double>> output = transform(input, +1, nullptr);
   const double scale = output.empty() ? 1.0 : 1.0 / static_cast<double>(output.size());
   for (auto& value : output) value *= scale;
   return output;
 }
 
 std::vector<std::complex<double>> coefficients_from_unit_circle_samples(
-    const std::vector<std::complex<double>>& samples) {
+    const std::vector<std::complex<double>>& samples, support::ThreadPool* pool) {
   // With s_k = exp(+2*pi*j*k/K), P(s_k) = sum_i p_i exp(+2*pi*j*i*k/K) is an
   // unnormalized inverse transform of the coefficients, so recovery is the
   // forward transform divided by K.
-  std::vector<std::complex<double>> coeffs = transform(samples, -1);
+  std::vector<std::complex<double>> coeffs = transform(samples, -1, pool);
   const double scale = coeffs.empty() ? 1.0 : 1.0 / static_cast<double>(coeffs.size());
   for (auto& value : coeffs) value *= scale;
   return coeffs;
 }
 
 std::vector<ScaledComplex> coefficients_from_unit_circle_samples(
-    const std::vector<ScaledComplex>& samples) {
+    const std::vector<ScaledComplex>& samples, support::ThreadPool* pool) {
   if (samples.empty()) return {};
   // Align all samples to the largest exponent; anything more than ~1100
   // binary orders below the peak is zero at double precision anyway.
@@ -123,7 +140,7 @@ std::vector<ScaledComplex> coefficients_from_unit_circle_samples(
                             : samples[i].mantissa() * std::ldexp(1.0, static_cast<int>(-gap));
   }
   const std::vector<std::complex<double>> coeffs =
-      coefficients_from_unit_circle_samples(aligned);
+      coefficients_from_unit_circle_samples(aligned, pool);
   std::vector<ScaledComplex> output(coeffs.size());
   for (std::size_t i = 0; i < coeffs.size(); ++i) {
     output[i] = ScaledComplex::from_mantissa_exp(coeffs[i], max_exp);

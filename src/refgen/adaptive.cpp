@@ -166,9 +166,10 @@ AdaptiveResult AdaptiveScalingEngine::run() {
       external_evaluator_ != nullptr ? *external_evaluator_ : *local_evaluator;
   const int circuit_bound = system_.order_bound();
 
-  // One pool for the whole run (workers persist across iterations). The
-  // samples of an iteration are the parallel unit; everything downstream
-  // (IDFT, region logic) runs on the caller in index order.
+  // One pool for the whole run (workers persist across iterations). It runs
+  // an iteration's samples, their eq. (17) deflation and the IDFT's output
+  // indices; each writes its own slot, so the thread count never changes a
+  // bit. The region logic runs on the caller in index order.
   std::unique_ptr<support::ThreadPool> pool;
   if (options_.threads != 1) pool = std::make_unique<support::ThreadPool>(options_.threads);
 
@@ -349,7 +350,7 @@ AdaptiveResult AdaptiveScalingEngine::run() {
       }
       noise_out = noise;
       const std::vector<ScaledComplex> coeffs =
-          interp::coefficients_from_samples(sampler.expand(samples));
+          interp::coefficients_from_samples(sampler.expand(samples), pool.get());
       normalized_out = coeffs;
       const std::vector<ScaledDouble> magnitudes = interp::real_magnitudes(coeffs);
       interp::RegionOptions region_options;

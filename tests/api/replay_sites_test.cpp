@@ -182,14 +182,14 @@ std::vector<Site> all_sites() {
         *attempts = kPoints.size();
         return evaluator.evaluate_pinned_batch(kPoints, 1.0, 1.0, sparse::ReplayKernel::kBatched);
       }));
-  // Pool lanes of evaluate_batch are not counted into the evaluator (only
-  // point 0 on the caller is); their samples still carry the outcome.
+  // Pool lanes of evaluate_batch tally their fallbacks per lane and the
+  // batch sums them into the evaluator, so every point is counted.
   for (const auto kernel : {sparse::ReplayKernel::kScalar, sparse::ReplayKernel::kBatched}) {
     sites.push_back(evaluator_site(
         kernel == sparse::ReplayKernel::kScalar ? "evaluate_batch_lane"
                                                 : "evaluate_batch_refused_lane",
         [kernel](const auto& evaluator, std::uint64_t* attempts) {
-          *attempts = 1;
+          *attempts = kPoints.size();
           support::ThreadPool pool(2);
           return evaluator.evaluate_batch(kPoints, 1.0, 1.0, &pool, kernel);
         }));

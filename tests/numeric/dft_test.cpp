@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "numeric/kahan.h"
 #include "numeric/polynomial.h"
 #include "support/random.h"
+#include "support/thread_pool.h"
 
 namespace symref::numeric {
 namespace {
@@ -164,6 +168,172 @@ TEST(Dft, ParsevalEnergyConserved) {
   for (const auto& v : x) ex += std::norm(v);
   for (const auto& v : X) eX += std::norm(v);
   EXPECT_NEAR(eX, ex * 12.0, 1e-10);  // Parseval with unnormalized forward
+}
+
+// --- Differential oracle: the direct transform as it was before its twiddle
+// table and pool lanes, one cos and one sin per (j, k) term. The table walk
+// and the pooled rows must reproduce it bit for bit.
+
+constexpr double kOracleTwoPi = 6.283185307179586476925286766559;
+
+std::complex<double> oracle_twiddle(std::uint64_t num, std::uint64_t den, int sign) {
+  const double angle = kOracleTwoPi * static_cast<double>(num % den) / static_cast<double>(den);
+  return {std::cos(angle), sign * std::sin(angle)};
+}
+
+std::vector<Complex> oracle_direct_transform(const std::vector<Complex>& input, int sign) {
+  const std::size_t n = input.size();
+  std::vector<std::complex<double>> output(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    KahanSum<std::complex<double>> sum;
+    for (std::size_t j = 0; j < n; ++j) {
+      sum.add(input[j] * oracle_twiddle(static_cast<std::uint64_t>(j) * k, n, sign));
+    }
+    output[k] = sum.value();
+  }
+  return output;
+}
+
+std::vector<Complex> scaled_by_inverse_size(std::vector<Complex> values) {
+  const double scale = 1.0 / static_cast<double>(values.size());
+  for (auto& value : values) value *= scale;
+  return values;
+}
+
+/// The ScaledComplex recovery on top of the oracle transform: same common-
+/// exponent alignment, oracle transform, 1/K and re-attached exponent.
+std::vector<ScaledComplex> oracle_scaled_coefficients(const std::vector<ScaledComplex>& samples) {
+  std::int64_t max_exp = 0;
+  bool any_nonzero = false;
+  for (const auto& sample : samples) {
+    if (sample.is_zero()) continue;
+    max_exp = any_nonzero ? std::max(max_exp, sample.exponent2()) : sample.exponent2();
+    any_nonzero = true;
+  }
+  if (!any_nonzero) return std::vector<ScaledComplex>(samples.size());
+  std::vector<Complex> aligned(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (samples[i].is_zero()) continue;
+    const std::int64_t gap = max_exp - samples[i].exponent2();
+    aligned[i] = gap > 1100 ? Complex()
+                            : samples[i].mantissa() * std::ldexp(1.0, static_cast<int>(-gap));
+  }
+  const auto coeffs = scaled_by_inverse_size(oracle_direct_transform(aligned, -1));
+  std::vector<ScaledComplex> output(coeffs.size());
+  for (std::size_t i = 0; i < coeffs.size(); ++i) {
+    output[i] = ScaledComplex::from_mantissa_exp(coeffs[i], max_exp);
+  }
+  return output;
+}
+
+/// A value spread over +-300 decades; about one part in eight is an exact
+/// zero, so zero terms and zero outputs are covered too.
+double wide_value(support::Rng& rng) {
+  if (rng.uniform_index(8) == 0) return 0.0;
+  return rng.uniform(-1.0, 1.0) *
+         std::pow(10.0, static_cast<double>(rng.uniform_index(601)) - 300.0);
+}
+
+std::vector<Complex> wide_samples(support::Rng& rng, std::size_t size) {
+  std::vector<Complex> values(size);
+  for (auto& v : values) v = {wide_value(rng), wide_value(rng)};
+  return values;
+}
+
+bool same_bits(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+bool same_bits(const std::vector<ScaledComplex>& a, const std::vector<ScaledComplex>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const Complex ma = a[i].mantissa();
+    const Complex mb = b[i].mantissa();
+    if (std::memcmp(&ma, &mb, sizeof(Complex)) != 0) return false;
+    if (a[i].exponent2() != b[i].exponent2()) return false;
+  }
+  return true;
+}
+
+/// Every non-power-of-two size up to 600, plus three past the engine's
+/// ladder-512 size (two primes and a composite).
+std::vector<std::size_t> direct_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t k = 1; k <= 600; ++k) {
+    if ((k & (k - 1)) != 0) sizes.push_back(k);
+  }
+  for (const std::size_t k : {1021u, 1031u, 1100u}) sizes.push_back(k);
+  return sizes;
+}
+
+/// The oracle is slow (one cos and one sin per term), so the expected
+/// outputs of all sizes are computed up front, sizes spread over a pool.
+template <typename Case>
+void fill_expected(std::vector<Case>& cases) {
+  support::ThreadPool pool(4);
+  pool.parallel_for(cases.size(), [&](std::size_t begin, std::size_t end, int) {
+    for (std::size_t i = begin; i < end; ++i) cases[i].fill_expected();
+  });
+}
+
+struct DirectCase {
+  std::vector<Complex> x;
+  std::vector<Complex> forward;  // unnormalized, sign -1
+  std::vector<Complex> inverse;  // 1/K-normalized, sign +1
+  void fill_expected() {
+    forward = oracle_direct_transform(x, -1);
+    inverse = scaled_by_inverse_size(oracle_direct_transform(x, +1));
+  }
+};
+
+struct ScaledCase {
+  std::vector<ScaledComplex> samples;
+  std::vector<ScaledComplex> coefficients;
+  void fill_expected() { coefficients = oracle_scaled_coefficients(samples); }
+};
+
+class DftDifferential : public ::testing::Test {
+ protected:
+  support::ThreadPool one_{1};
+  support::ThreadPool two_{2};
+  support::ThreadPool four_{4};
+  const std::vector<support::ThreadPool*> pools_{nullptr, &one_, &two_, &four_};
+};
+
+TEST_F(DftDifferential, DirectTransformBitIdenticalToPerTermTwiddles) {
+  support::Rng rng(0x5eed15);
+  std::vector<DirectCase> cases;
+  for (const std::size_t size : direct_sizes()) cases.push_back({wide_samples(rng, size), {}, {}});
+  fill_expected(cases);
+  for (const DirectCase& c : cases) {
+    const std::size_t size = c.x.size();
+    EXPECT_TRUE(same_bits(dft(c.x), c.forward)) << "dft, K = " << size;
+    EXPECT_TRUE(same_bits(idft(c.x), c.inverse)) << "idft, K = " << size;
+    const std::vector<Complex> expected = scaled_by_inverse_size(c.forward);
+    for (support::ThreadPool* pool : pools_) {
+      EXPECT_TRUE(same_bits(coefficients_from_unit_circle_samples(c.x, pool), expected))
+          << "coefficients, K = " << size << ", lanes " << (pool ? pool->size() : 0);
+    }
+  }
+}
+
+TEST_F(DftDifferential, ScaledRecoveryBitIdenticalToPerTermTwiddles) {
+  support::Rng rng(0x5eed16);
+  std::vector<ScaledCase> cases;
+  for (const std::size_t size : direct_sizes()) {
+    ScaledCase c;
+    for (const Complex& v : wide_samples(rng, size)) c.samples.emplace_back(v);
+    cases.push_back(std::move(c));
+  }
+  fill_expected(cases);
+  for (const ScaledCase& c : cases) {
+    for (support::ThreadPool* pool : pools_) {
+      EXPECT_TRUE(same_bits(coefficients_from_unit_circle_samples(c.samples, pool),
+                            c.coefficients))
+          << "scaled coefficients, K = " << c.samples.size() << ", lanes "
+          << (pool ? pool->size() : 0);
+    }
+  }
 }
 
 TEST(Kahan, CompensatedSummationBeatsNaive) {

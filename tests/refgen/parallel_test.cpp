@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "circuits/ladder.h"
@@ -14,6 +16,7 @@
 #include "mna/nodal.h"
 #include "netlist/canonical.h"
 #include "refgen/adaptive.h"
+#include "support/fault_injection.h"
 #include "support/thread_pool.h"
 
 namespace symref::refgen {
@@ -51,9 +54,11 @@ void expect_runs_identical(const AdaptiveResult& a, const AdaptiveResult& b) {
 }
 
 AdaptiveResult run_with_threads(const netlist::Circuit& circuit, const mna::TransferSpec& spec,
-                                int threads) {
+                                int threads,
+                                sparse::ReplayKernel kernel = sparse::ReplayKernel::kScalar) {
   AdaptiveOptions options;
   options.threads = threads;
+  options.kernel = kernel;
   return generate_reference(circuit, spec, options);
 }
 
@@ -72,6 +77,55 @@ TEST(ParallelRefgen, Ladder128CoefficientsBitIdenticalAcrossThreadCounts) {
   const AdaptiveResult serial = run_with_threads(ladder, spec, 1);
   expect_runs_identical(serial, run_with_threads(ladder, spec, 2));
   expect_runs_identical(serial, run_with_threads(ladder, spec, 8));
+}
+
+TEST(ParallelRefgen, Ladder512CoefficientsBitIdenticalAcrossThreadCounts) {
+  // K = 513 is not a power of two: every iteration's IDFT takes the direct
+  // transform, whose output indices run on the engine's pool.
+  const auto ladder = circuits::rc_ladder(512);
+  const auto spec = circuits::rc_ladder_spec(512);
+  const auto batched = sparse::ReplayKernel::kBatched;
+  const AdaptiveResult serial = run_with_threads(ladder, spec, 1, batched);
+  ASSERT_EQ(serial.iterations.front().points, 513);
+  expect_runs_identical(serial, run_with_threads(ladder, spec, 2, batched));
+  expect_runs_identical(serial, run_with_threads(ladder, spec, 4, batched));
+}
+
+TEST(ParallelRefgen, EvaluateBatchCountsLaneFallbacksAtAnyThreadCount) {
+  // Every point's replay draws the "lu_pivot" site once and a refusal runs
+  // one fresh factorization, so the count is the same whichever lane ran
+  // the point, and equal to the refusals the injector reports.
+  const auto canonical = netlist::canonicalize(circuits::rc_ladder(32));
+  const mna::NodalSystem system(canonical);
+  const auto spec = circuits::rc_ladder_spec(32);
+  std::vector<std::complex<double>> points;
+  for (int k = 0; k < 17; ++k) {
+    const double angle = 2.0 * 3.14159265358979323846 * k / 32.0;
+    points.emplace_back(std::cos(angle), std::sin(angle));
+  }
+  auto& injector = support::FaultInjector::instance();
+  for (const char* fault : {"lu_pivot:1", "lu_pivot:0.4:99"}) {
+    for (const auto kernel : {sparse::ReplayKernel::kScalar, sparse::ReplayKernel::kBatched}) {
+      std::vector<std::uint64_t> counts;
+      for (const int lanes : {0, 1, 2, 4}) {
+        const mna::CofactorEvaluator evaluator(system, spec);
+        (void)evaluator.evaluate(points[0], 1e9, 1e-3);  // records the plan fault-free
+        const std::uint64_t before = evaluator.fresh_factor_count();
+        ASSERT_TRUE(injector.configure(fault));
+        std::optional<support::ThreadPool> pool;
+        if (lanes > 0) pool.emplace(lanes);
+        const auto samples =
+            evaluator.evaluate_batch(points, 1e9, 1e-3, pool ? &*pool : nullptr, kernel);
+        const std::uint64_t injected = injector.stats().at(0).injected;
+        injector.reset();
+        for (const auto& sample : samples) EXPECT_TRUE(sample.ok);
+        EXPECT_EQ(evaluator.fresh_factor_count() - before, injected) << fault << " lanes " << lanes;
+        counts.push_back(evaluator.fresh_factor_count() - before);
+      }
+      EXPECT_GT(counts[0], 0u) << fault;
+      for (const std::uint64_t count : counts) EXPECT_EQ(count, counts[0]) << fault;
+    }
+  }
 }
 
 TEST(ParallelRefgen, EvaluateBatchMatchesPooledEvaluateBatch) {
