@@ -513,6 +513,9 @@ struct FailureTracker {
 /// One blocking RPC: write the request line, then read lines until our
 /// reply arrives. Event lines encountered on the way are streamed to stderr
 /// (progress) or ignored (done — the session uses "wait" replies instead).
+/// A done event in the daemon's compact encoding is skipped unparsed: it
+/// repeats the full result payload (MBs for a simplify) that the wait reply
+/// carries again.
 Status remote_call(symref::tools::FdTransport& transport, int* next_id,
                    const std::string& method, Json params, bool progress, Json* result) {
   Json request = Json::object();
@@ -525,6 +528,7 @@ Status remote_call(symref::tools::FdTransport& transport, int* next_id,
   }
   std::string line;
   while (transport.read_line(&line)) {
+    if (line.starts_with(R"({"event":"done")")) continue;
     auto parsed = Json::parse(line);
     if (!parsed.ok()) continue;  // not ours to diagnose
     const Json& message = parsed.value();

@@ -32,6 +32,7 @@
 //      {"type":"refgen","spec":{"in":"in","out":"out"}},"progress":true}}
 //   {"id":3,"method":"wait","params":{"job_id":"j1"}}
 //   {"id":4,"method":"shutdown"}
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -112,13 +113,28 @@ int serve_tcp(ServerCore& core, int port) {
   std::printf("refgend: listening on 127.0.0.1:%d\n", bound_port);
   std::fflush(stdout);
 
+  // client_fds holds the fds of live sessions only: a session removes its
+  // own before its transport can close it, so the shutdown(2) sweep below
+  // never hits a number the kernel has handed to a newer socket.
   std::mutex clients_mutex;
   std::vector<int> client_fds;
-  std::vector<std::thread> sessions;
+  struct SessionThread {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> finished;
+  };
+  std::vector<SessionThread> sessions;
   while (!core.shutdown_requested() && g_signal_received == 0) {
     int accept_errno = 0;
     const int fd =
         symref::tools::accept_client(listen_fd, /*timeout_ms=*/200, &accept_errno);
+    // Join finished sessions on every pass, so a daemon serving many short
+    // connections holds one thread stack per live client, not one per
+    // client ever served.
+    std::erase_if(sessions, [](SessionThread& session) {
+      if (!session.finished->load(std::memory_order_acquire)) return false;
+      session.thread.join();
+      return true;
+    });
     if (fd < 0) {
       // EINTR (a signal — the loop condition decides), ECONNABORTED, EMFILE
       // and friends are all transient at this level: log non-timeouts and
@@ -139,12 +155,19 @@ int serve_tcp(ServerCore& core, int port) {
       const std::lock_guard<std::mutex> lock(clients_mutex);
       client_fds.push_back(fd);
     }
-    sessions.emplace_back([&core, fd] {
-      // The transport owns (and eventually closes) fd; the daemon only ever
-      // shutdown(2)s it to break the read loop.
-      Session session(core, std::make_shared<symref::tools::FdTransport>(fd));
-      session.serve();
+    auto finished = std::make_shared<std::atomic<bool>>(false);
+    std::thread thread([&core, &clients_mutex, &client_fds, fd, finished] {
+      {
+        // The transport owns (and eventually closes) fd; the daemon only
+        // ever shutdown(2)s it to break the read loop.
+        Session session(core, std::make_shared<symref::tools::FdTransport>(fd));
+        session.serve();
+        const std::lock_guard<std::mutex> lock(clients_mutex);
+        std::erase(client_fds, fd);
+      }
+      finished->store(true, std::memory_order_release);
     });
+    sessions.push_back({std::move(thread), std::move(finished)});
   }
   ::close(listen_fd);
   if (g_signal_received != 0 && !core.shutdown_requested()) {
@@ -159,7 +182,7 @@ int serve_tcp(ServerCore& core, int port) {
     const std::lock_guard<std::mutex> lock(clients_mutex);
     for (const int fd : client_fds) ::shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& session : sessions) session.join();
+  for (SessionThread& session : sessions) session.thread.join();
   return 0;
 }
 

@@ -3,7 +3,7 @@
 
 Usage: server_smoke.py <refgend> <refgen> <netlist>
 
-Eight scenarios, all against the bundled netlist (the transient scenario
+Nine scenarios, all against the bundled netlist (the transient scenario
 builds its own small nonlinear deck — the bundled models have no
 time-varying sources):
   1. Four CONCURRENT stdio-scripted sessions (one refgend process each):
@@ -35,6 +35,10 @@ time-varying sources):
      multi-MB response line) run through `refgen --connect` against
      `refgend --listen=0` must equal the in-process `refgen --simplify`
      payload, timings and the cache flag aside.
+  9. Session reaping: `refgend --listen=0` serves 300 short TCP connections
+     one after another; the daemon's mapped regions (/proc/<pid>/maps
+     lines, one thread stack and guard page per unjoined session) must stay
+     within a small bound of the count before them.
 
 Set REFGEN_CHAOS=1 to additionally run every store-scenario daemon plus a
 retry session under low-probability injected faults (REFGEN_FAULT): results
@@ -44,6 +48,7 @@ import json
 import os
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -471,6 +476,50 @@ def main():
     print(f"tcp OK: {over_tcp['kept_terms']}-term simplify "
           f"({len(remote.stdout) >> 20} MB) through refgen --connect, "
           f"byte-identical to the in-process run")
+
+    # --- 9. Finished TCP sessions are reaped -------------------------------
+    proc = subprocess.Popen([daemon, "--listen=0"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        banner = proc.stdout.readline()
+        assert banner.startswith("refgend: listening on 127.0.0.1:"), banner
+        port = int(banner.strip().rsplit(":", 1)[1])
+        maps_path = f"/proc/{proc.pid}/maps"
+
+        def short_session(rpc_id):
+            with socket.create_connection(("127.0.0.1", port), timeout=60) as conn:
+                conn.sendall((json.dumps({"id": rpc_id, "method": "list"}) + "\n").encode())
+                answer = json.loads(conn.makefile("r").readline())
+                assert answer.get("id") == rpc_id and "result" in answer, answer
+
+        def mapped_regions():
+            with open(maps_path) as maps:
+                return sum(1 for _ in maps)
+
+        short_session(0)  # first session: per-thread allocator state settles
+        before = mapped_regions()
+        connections = 300
+        for rpc_id in range(1, connections + 1):
+            short_session(rpc_id)
+        # An unjoined session holds its stack mapping and guard page: without
+        # reaping, 300 sessions add ~600 lines. The last few sessions finish
+        # after their client hangs up and are joined on the accept loop's next
+        # pass, so poll briefly instead of reading once.
+        slack = 40
+        deadline = time.monotonic() + 20
+        after = mapped_regions()
+        while after > before + slack and time.monotonic() < deadline:
+            time.sleep(0.1)
+            after = mapped_regions()
+        assert after <= before + slack, (
+            f"refgend kept finished sessions: {before} -> {after} mapped regions "
+            f"after {connections} short connections")
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, f"refgend --listen exited {proc.returncode}: {err}"
+    print(f"reaping OK: {connections} short TCP sessions, mapped regions "
+          f"{before} -> {after}")
 
 
 if __name__ == "__main__":
