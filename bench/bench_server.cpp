@@ -56,9 +56,9 @@ double submit_done_ms(symref::api::JobManager& jobs, const symref::api::CircuitH
   const symref::api::JobId id = jobs.submit(handle, request);
   const auto outcome = jobs.wait(id);
   const double ms = timer.millis();
-  if (!outcome.ok() || !outcome.value().status.ok()) {
+  if (!outcome.ok() || !outcome.value()->status.ok()) {
     std::fprintf(stderr, "job failed: %s\n",
-                 (outcome.ok() ? outcome.value().status : outcome.status()).to_string().c_str());
+                 (outcome.ok() ? outcome.value()->status : outcome.status()).to_string().c_str());
     return -1.0;
   }
   return ms;
@@ -117,7 +117,7 @@ void measure_throughput() {
     bool ok = true;
     for (const symref::api::JobId id : ids) {
       const auto outcome = jobs.wait(id);
-      ok = ok && outcome.ok() && outcome.value().status.ok();
+      ok = ok && outcome.ok() && outcome.value()->status.ok();
     }
     const double seconds = timer.seconds();
     if (!ok) {

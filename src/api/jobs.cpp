@@ -100,7 +100,9 @@ struct JobManager::Job {
   int attempts = 0;                // executions started
   std::atomic<int> iterations{0};  // bumped from the engine observer
   double total_seconds = 0.0;      // frozen at finish
-  JobOutcome outcome;              // meaningful once state == kDone
+  /// Set once at finish and immutable afterwards: wait() hands out the
+  /// pointer, so no caller copies the typed responses.
+  std::shared_ptr<const JobOutcome> outcome;
 };
 
 /// Timed-event thread: a single multimap of (fire time -> closure) ordered
@@ -298,12 +300,12 @@ void JobManager::finish(const std::shared_ptr<Job>& job, JobOutcome outcome) {
     if (job->state == JobState::kDone) return;  // lost the race to cancel()
     job->state = JobState::kDone;
     job->total_seconds = job->timer.seconds();
-    job->outcome = std::move(outcome);
+    job->outcome = std::make_shared<const JobOutcome>(std::move(outcome));
   }
   // outcome/on_done are immutable once done; calling outside the lock keeps
   // callbacks free to poll() without deadlocking (they must not wait() on
   // their own job — waiters are released only after this returns).
-  if (job->on_done) job->on_done(job->id, job->outcome);
+  if (job->on_done) job->on_done(job->id, *job->outcome);
   {
     const std::lock_guard<std::mutex> lock(job->mutex);
     job->callbacks_done = true;
@@ -495,7 +497,7 @@ Result<JobInfo> JobManager::poll(JobId id) const {
   return snapshot(*job);
 }
 
-Result<JobOutcome> JobManager::wait(JobId id) const {
+Result<std::shared_ptr<const JobOutcome>> JobManager::wait(JobId id) const {
   const std::shared_ptr<Job> job = find(id);
   if (!job) {
     return Status::error(StatusCode::kNotFound, "unknown job_id " + std::to_string(id));

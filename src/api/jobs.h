@@ -8,7 +8,7 @@
 //   JobManager jobs(service, /*workers=*/4);
 //   JobId id = jobs.submit(handle, request, on_progress, on_done);
 //   ... jobs.poll(id) -> JobInfo{state, iterations so far, ...}
-//   ... jobs.wait(id) -> JobOutcome{status, typed response}
+//   ... jobs.wait(id) -> shared JobOutcome{status, typed response}
 //   ... jobs.cancel(id)
 //
 // Cancellation is cooperative and safe at any moment: a queued job
@@ -168,8 +168,9 @@ class JobManager {
   /// Block until the job completes AND its on_done callback returned — so
   /// anything the callback emitted (a daemon's done event) is ordered
   /// before wait() returns. The outcome carries the job's own status
-  /// (kCancelled for cancelled jobs). kNotFound for unknown ids.
-  [[nodiscard]] Result<JobOutcome> wait(JobId id) const;
+  /// (kCancelled for cancelled jobs) and is shared with the job, not
+  /// copied: a simplify outcome holds megabytes. kNotFound for unknown ids.
+  [[nodiscard]] Result<std::shared_ptr<const JobOutcome>> wait(JobId id) const;
 
   /// Request cancellation. True when the job was live (queued jobs complete
   /// as kCancelled immediately; running jobs stop at the next checkpoint);

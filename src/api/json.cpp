@@ -327,6 +327,12 @@ const std::string& Json::as_string() const {
   return is_string() ? std::get<std::string>(value_) : kEmptyString;
 }
 
+Json Json::encoded(std::shared_ptr<const std::string> text) {
+  Json node;
+  node.value_ = std::move(text);
+  return node;
+}
+
 const Json::Array& Json::items() const {
   return is_array() ? std::get<Array>(value_) : kEmptyArray;
 }
@@ -382,6 +388,20 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     append_number(out, as_number());
   } else if (is_string()) {
     append_escaped(out, as_string());
+  } else if (holds<Encoded>()) {
+    const Encoded& text = std::get<Encoded>(value_);
+    if (indent < 0) {
+      out += *text;
+    } else {
+      // The parser directly, not Json::parse: re-indenting an encoder's own
+      // output is not an input path, so the json_parse fault site stays out.
+      Result<Json> parsed = JsonParser(*text).run();
+      if (parsed.ok()) {
+        parsed.value().dump_to(out, indent, depth);
+      } else {
+        out += *text;
+      }
+    }
   } else if (is_array()) {
     const Array& items = std::get<Array>(value_);
     if (items.empty()) {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -46,6 +47,13 @@ class Json {
 
   static Json object() { return Json(Object{}); }
   static Json array() { return Json(Array{}); }
+  /// Already-encoded value: `text` (non-null) is the compact dump() of some
+  /// value. A compact dump appends it verbatim, so one encoded payload can
+  /// be spliced into several envelopes without building or walking its tree
+  /// again; an indented dump gives the bytes of the parsed equivalent. The
+  /// node is opaque: every is_*() is false and find()/items()/members() see
+  /// nothing.
+  static Json encoded(std::shared_ptr<const std::string> text);
 
   [[nodiscard]] bool is_null() const noexcept { return holds<std::nullptr_t>(); }
   [[nodiscard]] bool is_bool() const noexcept { return holds<bool>(); }
@@ -95,7 +103,9 @@ class Json {
 
   void dump_to(std::string& out, int indent, int depth) const;
 
-  std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;
+  using Encoded = std::shared_ptr<const std::string>;
+
+  std::variant<std::nullptr_t, bool, double, std::string, Array, Object, Encoded> value_;
 };
 
 }  // namespace symref::api

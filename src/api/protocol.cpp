@@ -139,11 +139,40 @@ struct Session::Writer {
   std::mutex mutex;
   std::shared_ptr<LineTransport> transport;
   bool open = true;
+  /// Encoded result of the job whose done event was written last, until
+  /// that job's wait/poll reply takes it: the reply splices the event's
+  /// bytes instead of encoding the outcome again. One slot per session, so
+  /// a later done event replaces it and the reply for the replaced job
+  /// encodes its own outcome (the same bytes, just not shared).
+  JobId result_job = 0;
+  std::shared_ptr<const std::string> result_text;
 
   void write(const Json& payload) {
     const std::lock_guard<std::mutex> lock(mutex);
     if (!open) return;
     if (!transport->write_line(payload.dump())) open = false;
+  }
+  void write_done(JobId job, std::shared_ptr<const std::string> text) {
+    Json event = Json::object();
+    event.set("event", "done");
+    event.set("job_id", job_id_token(job));
+    event.set("result", Json::encoded(text));
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (!open) return;
+    if (!transport->write_line(event.dump())) {
+      open = false;
+      return;
+    }
+    result_job = job;
+    result_text = std::move(text);
+  }
+  /// The slot's text when it holds `job`'s result (emptying the slot), else
+  /// nullptr.
+  std::shared_ptr<const std::string> take_result(JobId job) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (result_job != job) return nullptr;
+    result_job = 0;
+    return std::move(result_text);
   }
   void close() {
     const std::lock_guard<std::mutex> lock(mutex);
@@ -261,11 +290,10 @@ Json Session::dispatch(const Json& request) {
       }
 
       JobDoneFn on_done = [writer, store, key](JobId job, const JobOutcome& outcome) {
-        Json event = Json::object();
-        event.set("event", "done");
-        event.set("job_id", job_id_token(job));
-        event.set("result", to_json(outcome));
-        writer->write(event);
+        // The outcome is encoded once: the done event, this job's wait/poll
+        // reply and the reference store all carry these bytes.
+        const auto text = std::make_shared<const std::string>(to_json(outcome).dump());
+        writer->write_done(job, text);
         // Persist after the client saw its event. Only clean computed
         // results are stored: not errors, not store replays (raw), not
         // degraded references, sweeps or transients (a later healthy run
@@ -277,7 +305,7 @@ Json Session::dispatch(const Json& request) {
             !(outcome.type == AnyRequest::Type::kSweep && outcome.sweep.degraded) &&
             !(outcome.type == AnyRequest::Type::kTransient &&
               outcome.transient.result.degraded)) {
-          store->put(key, to_json(outcome).dump());
+          store->put(key, *text);
         }
       };
 
@@ -320,7 +348,7 @@ Json Session::dispatch(const Json& request) {
       if (!(status = require_string(params, "job_id", &token)).ok()) return status;
       Result<JobId> job = parse_job_id(token);
       if (!job.ok()) return job.status();
-      std::optional<Result<JobOutcome>> outcome;
+      std::optional<Result<std::shared_ptr<const JobOutcome>>> outcome;
       if (method == "wait") {
         // Blocks the session's reader thread; events keep streaming.
         outcome = core_.jobs().wait(job.value());
@@ -330,8 +358,12 @@ Json Session::dispatch(const Json& request) {
       if (!info.ok()) return info.status();
       Json out = job_info_json(info.value());
       if (info.value().state == JobState::kDone) {
-        if (!outcome) outcome = core_.jobs().wait(job.value());  // immediate
-        if (outcome->ok()) out.set("result", to_json(outcome->value()));
+        if (std::shared_ptr<const std::string> text = writer_->take_result(job.value())) {
+          out.set("result", Json::encoded(std::move(text)));
+        } else {
+          if (!outcome) outcome = core_.jobs().wait(job.value());  // immediate
+          if (outcome->ok()) out.set("result", to_json(*outcome->value()));
+        }
       }
       return out;
     }

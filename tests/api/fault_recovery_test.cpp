@@ -217,7 +217,7 @@ TEST_F(FaultRecoveryTest, WorkQueueFaultExhaustsRetriesWithTypedUnavailable) {
   const JobId id = jobs.submit(handle, rc_refgen(), std::move(options));
   auto outcome = jobs.wait(id);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value().status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(outcome.value()->status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(injected_count("work_queue"), 3u);  // one per attempt
   auto info = jobs.poll(id);
   ASSERT_TRUE(info.ok());
@@ -227,7 +227,7 @@ TEST_F(FaultRecoveryTest, WorkQueueFaultExhaustsRetriesWithTypedUnavailable) {
   support::FaultInjector::instance().reset();
   auto recovered = jobs.wait(jobs.submit(handle, rc_refgen()));
   ASSERT_TRUE(recovered.ok());
-  EXPECT_TRUE(recovered.value().status.ok()) << recovered.value().status.to_string();
+  EXPECT_TRUE(recovered.value()->status.ok()) << recovered.value()->status.to_string();
 }
 
 TEST_F(FaultRecoveryTest, RetryRidesOutIntermittentWorkQueueFaults) {
@@ -244,8 +244,8 @@ TEST_F(FaultRecoveryTest, RetryRidesOutIntermittentWorkQueueFaults) {
   const JobId id = jobs.submit(handle, rc_refgen(), std::move(options));
   auto outcome = jobs.wait(id);
   ASSERT_TRUE(outcome.ok());
-  ASSERT_TRUE(outcome.value().status.ok()) << outcome.value().status.to_string();
-  EXPECT_TRUE(outcome.value().refgen.result.complete);
+  ASSERT_TRUE(outcome.value()->status.ok()) << outcome.value()->status.to_string();
+  EXPECT_TRUE(outcome.value()->refgen.result.complete);
 }
 
 TEST_F(FaultRecoveryTest, QueuedJobDeadlineExpiresTyped) {
@@ -265,11 +265,11 @@ TEST_F(FaultRecoveryTest, QueuedJobDeadlineExpiresTyped) {
   const JobId queued = jobs.submit(rc, rc_refgen(), std::move(options));
   auto outcome = jobs.wait(queued);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value().status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(outcome.value()->status.code(), StatusCode::kDeadlineExceeded);
 
   auto blocker_outcome = jobs.wait(running);
   ASSERT_TRUE(blocker_outcome.ok());
-  EXPECT_TRUE(blocker_outcome.value().status.ok());
+  EXPECT_TRUE(blocker_outcome.value()->status.ok());
 }
 
 TEST_F(FaultRecoveryTest, RunningJobDeadlineTripsTheEngineCheckpoint) {
@@ -284,7 +284,7 @@ TEST_F(FaultRecoveryTest, RunningJobDeadlineTripsTheEngineCheckpoint) {
   const JobId id = jobs.submit(big, std::move(request), std::move(options));
   auto outcome = jobs.wait(id);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value().status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(outcome.value()->status.code(), StatusCode::kDeadlineExceeded);
 
   // The handle is not poisoned: the same request completes without deadline.
   AnyRequest again;
@@ -292,7 +292,7 @@ TEST_F(FaultRecoveryTest, RunningJobDeadlineTripsTheEngineCheckpoint) {
   again.refgen.spec = mna::TransferSpec::voltage_gain("in", "out");
   auto clean = jobs.wait(jobs.submit(big, std::move(again)));
   ASSERT_TRUE(clean.ok());
-  EXPECT_TRUE(clean.value().status.ok()) << clean.value().status.to_string();
+  EXPECT_TRUE(clean.value()->status.ok()) << clean.value()->status.to_string();
 }
 
 TEST_F(FaultRecoveryTest, BoundedQueueShedsLoadAsOverloaded) {
@@ -317,15 +317,15 @@ TEST_F(FaultRecoveryTest, BoundedQueueShedsLoadAsOverloaded) {
   const JobId shed = jobs.submit(rc, rc_refgen());     // over the bound
   auto outcome = jobs.wait(shed);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value().status.code(), StatusCode::kOverloaded);
+  EXPECT_EQ(outcome.value()->status.code(), StatusCode::kOverloaded);
 
   // Accepted work is unaffected by the shed job.
   auto accepted = jobs.wait(waiting);
   ASSERT_TRUE(accepted.ok());
-  EXPECT_TRUE(accepted.value().status.ok());
+  EXPECT_TRUE(accepted.value()->status.ok());
   auto blocker_outcome = jobs.wait(running);
   ASSERT_TRUE(blocker_outcome.ok());
-  EXPECT_TRUE(blocker_outcome.value().status.ok());
+  EXPECT_TRUE(blocker_outcome.value()->status.ok());
 }
 
 // --- Reference store through the protocol layer -----------------------------

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -173,6 +174,39 @@ TEST(Json, DumpPrettyReparses) {
   const auto reparsed = Json::parse(pretty);
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(reparsed.value().dump(), out.dump());
+}
+
+// An encoded node splices its text into the envelope it is set on: a
+// compact dump appends the bytes verbatim, an indented one gives exactly
+// the bytes of the parsed equivalent (nested at the node's depth).
+TEST(Json, EncodedNodeSplicesItsText) {
+  Json payload = Json::object();
+  payload.set("type", "refgen");
+  payload.set("values", Json::array().push_back(0.1).push_back(-2.5e-300).push_back(nullptr));
+  Json nested = Json::object();
+  nested.set("note", "quote \" and\nnewline");
+  nested.set("empty", Json::array());
+  payload.set("nested", std::move(nested));
+  const auto text = std::make_shared<const std::string>(payload.dump());
+
+  Json spliced = Json::object();
+  spliced.set("event", "done");
+  spliced.set("result", Json::encoded(text));
+  Json inline_copy = Json::object();
+  inline_copy.set("event", "done");
+  inline_copy.set("result", payload);
+
+  EXPECT_EQ(spliced.dump(), R"({"event":"done","result":)" + *text + "}");
+  EXPECT_EQ(spliced.dump(), inline_copy.dump());
+  EXPECT_EQ(spliced.dump(2), inline_copy.dump(2));
+  EXPECT_EQ(spliced.dump(0), inline_copy.dump(0));
+  EXPECT_EQ(Json::encoded(text).dump(4), payload.dump(4));
+
+  // The node is opaque to the accessors.
+  const Json node = Json::encoded(text);
+  EXPECT_FALSE(node.is_object());
+  EXPECT_EQ(node.find("type"), nullptr);
+  EXPECT_EQ(node.size(), 0u);
 }
 
 TEST(Json, ParseErrorsCarryLineAndColumn) {

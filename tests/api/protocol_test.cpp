@@ -1,12 +1,18 @@
 // api::protocol: the line-delimited JSON session contract — method
-// dispatch, error replies, the progress/done event stream, and the
+// dispatch, error replies, the progress/done event stream, one encode per
+// job shared by its done event and its wait/poll reply, and the
 // acceptance-criteria scenario: several concurrent sessions on one core
 // whose per-job results are bit-identical to direct api::Service calls.
 #include "api/protocol.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <filesystem>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -217,7 +223,7 @@ TEST(ProtocolSession, ShutdownCancelsLiveJobs) {
   // The queued job is already complete (cancelled without running).
   const auto queued_outcome = core.jobs().wait(queued);
   ASSERT_TRUE(queued_outcome.ok());
-  EXPECT_EQ(queued_outcome.value().status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(queued_outcome.value()->status.code(), StatusCode::kCancelled);
   // The running job's token is tripped; once its observer returns it stops
   // at the next iteration boundary instead of running to completion.
   {
@@ -227,7 +233,7 @@ TEST(ProtocolSession, ShutdownCancelsLiveJobs) {
   cv.notify_all();
   const auto running_outcome = core.jobs().wait(running);
   ASSERT_TRUE(running_outcome.ok());
-  EXPECT_EQ(running_outcome.value().status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(running_outcome.value()->status.code(), StatusCode::kCancelled);
 }
 
 TEST(ProtocolSession, EvictMakesCircuitUnaddressable) {
@@ -253,6 +259,228 @@ TEST(ProtocolJobIds, TokenRoundTrip) {
   EXPECT_FALSE(parse_job_id("j").ok());
   EXPECT_FALSE(parse_job_id("jx7").ok());
   EXPECT_FALSE(parse_job_id("j123456789012345678901").ok());
+}
+
+// ---- One encode per job: the done event, the wait/poll reply and the
+// retained outcome's own encoding carry the same `result` bytes.
+
+/// A scripted client whose steps can wait for done events: a step is read
+/// only after the session wrote the done events of every job it names, so
+/// a test decides which job's text the session's result slot holds when a
+/// wait or poll arrives.
+class GatedScript : public LineTransport {
+ public:
+  struct Step {
+    std::string line;
+    std::vector<std::string> after_done;  // job tokens ("j1")
+  };
+
+  explicit GatedScript(std::vector<Step> steps) : steps_(std::move(steps)) {}
+
+  bool read_line(std::string* line) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (next_ == steps_.size()) return false;
+    const Step& step = steps_[next_++];
+    const bool ready = cv_.wait_for(lock, std::chrono::seconds(60), [&] {
+      return std::all_of(step.after_done.begin(), step.after_done.end(),
+                         [&](const std::string& job) { return done_.count(job) > 0; });
+    });
+    EXPECT_TRUE(ready) << "no done event before: " << step.line;
+    *line = step.line;
+    return true;
+  }
+
+  bool write_line(const std::string& line) override {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      lines_.push_back(line);
+      auto parsed = Json::parse(line);
+      if (parsed.ok()) {
+        const Json* event = parsed.value().find("event");
+        const Json* job = parsed.value().find("job_id");
+        if (event != nullptr && event->as_string() == "done" && job != nullptr) {
+          done_.insert(job->as_string());
+        }
+      }
+    }
+    cv_.notify_all();
+    return true;
+  }
+
+  [[nodiscard]] std::vector<std::string> lines() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return lines_;
+  }
+
+ private:
+  std::vector<Step> steps_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  std::size_t next_ = 0;
+  std::set<std::string> done_;
+  std::vector<std::string> lines_;
+};
+
+std::vector<std::string> run_gated(ServerCore& core, std::vector<GatedScript::Step> steps) {
+  auto client = std::make_shared<GatedScript>(std::move(steps));
+  {
+    Session session(core, client);
+    session.serve();
+  }
+  return client->lines();
+}
+
+std::string compile_line() {
+  return std::string(R"({"id":1,"method":"compile","params":{"netlist":)") +
+         quote(kRcNetlist) + "}}";
+}
+
+std::string submit_line(int id, const std::string& request) {
+  return R"({"id":)" + std::to_string(id) +
+         R"(,"method":"submit","params":{"circuit_id":"c1","request":)" + request + "}}";
+}
+
+std::string job_line(int id, const char* method, const std::string& job) {
+  return R"({"id":)" + std::to_string(id) + R"(,"method":")" + method +
+         R"(","params":{"job_id":")" + job + R"("}})";
+}
+
+constexpr const char* kRefgenRequest = R"({"type":"refgen","spec":{"in":"in","out":"out"}})";
+constexpr const char* kSimplifyRequest =
+    R"({"type":"simplify","spec":{"in":"in","out":"out"},"f_start_hz":10,"f_stop_hz":1e5,"band_points":5})";
+
+/// Raw `result` bytes of `job`'s done event; empty when there is none.
+std::string done_event_result(const std::vector<std::string>& lines, const std::string& job) {
+  const std::string prefix = R"({"event":"done","job_id":")" + job + R"(","result":)";
+  for (const std::string& line : lines) {
+    if (line.rfind(prefix, 0) == 0 && line.back() == '}') {
+      return line.substr(prefix.size(), line.size() - prefix.size() - 1);
+    }
+  }
+  return {};
+}
+
+/// Raw `result` bytes of the wait/poll reply with `id`: the member after the
+/// job snapshot's last field ("attempts"), closed by the snapshot's and the
+/// reply's braces. Empty when the reply has no result.
+std::string reply_result(const std::vector<std::string>& lines, int id) {
+  const std::string prefix = R"({"id":)" + std::to_string(id) + R"(,"result":{"job_id":)";
+  for (const std::string& line : lines) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::size_t attempts = line.find(R"("attempts":)");
+    if (attempts == std::string::npos) return {};
+    const std::string member = R"(,"result":)";
+    const std::size_t at = line.find(member, attempts);
+    if (at == std::string::npos || line.size() < at + member.size() + 2) return {};
+    const std::size_t start = at + member.size();
+    return line.substr(start, line.size() - start - 2);
+  }
+  return {};
+}
+
+/// The retained outcome of `job`, encoded on its own.
+std::string encoded_outcome(ServerCore& core, const std::string& job) {
+  const auto id = parse_job_id(job);
+  EXPECT_TRUE(id.ok());
+  if (!id.ok()) return {};
+  const auto outcome = core.jobs().wait(id.value());
+  EXPECT_TRUE(outcome.ok());
+  return outcome.ok() ? to_json(*outcome.value()).dump() : std::string();
+}
+
+/// The done event's result, the reply's result and the outcome's encoding
+/// are one text; returns it.
+std::string expect_one_text(ServerCore& core, const std::vector<std::string>& lines,
+                            const std::string& job, int reply_id) {
+  const std::string event = done_event_result(lines, job);
+  EXPECT_FALSE(event.empty()) << "no done event for " << job;
+  EXPECT_EQ(reply_result(lines, reply_id), event) << job << ", reply " << reply_id;
+  EXPECT_EQ(encoded_outcome(core, job), event) << job;
+  return event;
+}
+
+TEST(ProtocolEncodeOnce, SimplifyEventAndWaitReplyShareBytes) {
+  ServerCore core;
+  const auto lines = run_gated(core, {{compile_line(), {}},
+                                      {submit_line(2, kSimplifyRequest), {}},
+                                      {job_line(3, "wait", "j1"), {}}});
+  const std::string text = expect_one_text(core, lines, "j1", 3);
+  EXPECT_EQ(text.rfind(R"({"type":"simplify","status":{"code":"ok")", 0), 0u) << text;
+}
+
+TEST(ProtocolEncodeOnce, ErrorOutcomeEventAndWaitReplyShareBytes) {
+  ServerCore core;
+  const auto lines = run_gated(
+      core, {{compile_line(), {}},
+             {submit_line(2, R"({"type":"refgen","spec":{"in":"in","out":"nowhere"}})"), {}},
+             {job_line(3, "wait", "j1"), {}}});
+  const std::string text = expect_one_text(core, lines, "j1", 3);
+  EXPECT_NE(text.find(R"("code":"invalid_spec")"), std::string::npos) << text;
+}
+
+TEST(ProtocolEncodeOnce, PollOfAFinishedJobSharesBytes) {
+  ServerCore core;
+  // The poll is read only once the done event is out, so the job is done
+  // and its text sits in the slot; the wait after it finds the slot empty
+  // and encodes the retained outcome — the same bytes either way.
+  const auto lines = run_gated(core, {{compile_line(), {}},
+                                      {submit_line(2, kRefgenRequest), {}},
+                                      {job_line(3, "poll", "j1"), {"j1"}},
+                                      {job_line(4, "wait", "j1"), {}}});
+  const std::string text = expect_one_text(core, lines, "j1", 3);
+  EXPECT_EQ(reply_result(lines, 4), text);
+}
+
+TEST(ProtocolEncodeOnce, StoreHitEventAndWaitReplyShareBytes) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "protocol_encode_once_store";
+  fs::remove_all(dir);
+  ServerOptions options;
+  options.workers = 1;
+  options.store_dir = dir.string();
+  const std::vector<GatedScript::Step> script = {{compile_line(), {}},
+                                                 {submit_line(2, kRefgenRequest), {}},
+                                                 {job_line(3, "wait", "j1"), {}}};
+  std::string computed;
+  {
+    ServerCore core(options);
+    ASSERT_TRUE(core.store() != nullptr && core.store()->ok());
+    computed = expect_one_text(core, run_gated(core, script), "j1", 3);
+  }
+  {
+    ServerCore core(options);
+    const auto lines = run_gated(core, script);
+    const Json submitted = find_reply(lines, 2);
+    ASSERT_TRUE(submitted.find("result") != nullptr);
+    ASSERT_TRUE(submitted.find("result")->find("stored") != nullptr);
+    EXPECT_TRUE(submitted.find("result")->find("stored")->as_bool());
+    EXPECT_EQ(expect_one_text(core, lines, "j1", 3), computed);
+  }
+  fs::remove_all(dir);
+}
+
+// Pipelined jobs on one session, one worker (jobs finish in submit order).
+// In the first pair the slot holds the waited job's text; in the second
+// the first wait arrives while the slot holds the OTHER job's text, and
+// must encode its own outcome instead of splicing the slot.
+TEST(ProtocolEncodeOnce, PipelinedWaitsNeverTakeAnotherJobsText) {
+  ServerOptions options;
+  options.workers = 1;
+  ServerCore core(options);
+  const auto lines = run_gated(core, {{compile_line(), {}},
+                                      {submit_line(2, kRefgenRequest), {}},
+                                      {submit_line(3, kSimplifyRequest), {}},
+                                      {job_line(4, "wait", "j2"), {"j1", "j2"}},
+                                      {job_line(5, "wait", "j1"), {}},
+                                      {submit_line(6, kSimplifyRequest), {}},
+                                      {submit_line(7, kRefgenRequest), {}},
+                                      {job_line(8, "wait", "j3"), {"j3", "j4"}},
+                                      {job_line(9, "wait", "j4"), {}}});
+  const std::string refgen = expect_one_text(core, lines, "j1", 5);
+  const std::string simplify = expect_one_text(core, lines, "j2", 4);
+  EXPECT_NE(refgen, simplify);
+  expect_one_text(core, lines, "j3", 8);
+  expect_one_text(core, lines, "j4", 9);
 }
 
 // The acceptance scenario, in-process: four sessions drive one core

@@ -34,7 +34,9 @@ time-varying sources):
   8. TCP transport: a simplify on ua741_core.cir at a 10% budget (a
      multi-MB response line) run through `refgen --connect` against
      `refgend --listen=0` must equal the in-process `refgen --simplify`
-     payload, timings and the cache flag aside.
+     payload, timings and the cache flag aside. A raw-socket session on
+     the same daemon runs one more such simplify and checks that the job's
+     `done` event and its `wait` reply carry the same result bytes.
   9. Session reaping: `refgend --listen=0` serves 300 short TCP connections
      one after another; the daemon's mapped regions (/proc/<pid>/maps
      lines, one thread stack and guard page per unjoined session) must stay
@@ -87,6 +89,45 @@ def run_session(daemon, script, args=(), env=None):
 
 
 SPEC = {"in": "inp", "in_neg": "inn", "out": "vo"}
+
+
+def raw_done_and_wait(port, netlist):
+    """One ua741_core simplify over a raw TCP session: compile, submit, wait.
+    Returns the raw `result` bytes of the job's done event and of the wait
+    reply (the reply's result follows the job snapshot's "attempts")."""
+    with socket.create_connection(("127.0.0.1", port), timeout=300) as conn:
+        stream = conn.makefile("rb")
+        events = []  # a done event may precede the submit reply
+
+        def call(message):
+            conn.sendall((json.dumps(message) + "\n").encode())
+            while True:
+                line = stream.readline()
+                assert line, "refgend closed the connection"
+                line = line.rstrip(b"\n")
+                parsed = json.loads(line)
+                if parsed.get("id") == message["id"]:
+                    assert "result" in parsed, parsed
+                    return line, parsed["result"]
+                events.append(line)
+
+        _, compiled = call({"id": 1, "method": "compile",
+                            "params": {"netlist": netlist}})
+        _, submitted = call({"id": 2, "method": "submit", "params": {
+            "circuit_id": compiled["circuit_id"],
+            "request": {"type": "simplify", "spec": {"in": "inp", "out": "vo"},
+                        "error_budget": 0.1}}})
+        job = submitted["job_id"]
+        waited, _ = call({"id": 3, "method": "wait", "params": {"job_id": job}})
+    prefix = b'{"event":"done","job_id":"' + job.encode() + b'","result":'
+    done = [line for line in events if line.startswith(prefix)]
+    assert len(done) == 1, f"expected one done event for {job}, got {len(done)}"
+    assert done[0].endswith(b"}")
+    event_bytes = done[0][len(prefix):-1]
+    member = b',"result":'
+    start = waited.index(member, waited.index(b'"attempts":')) + len(member)
+    assert waited.endswith(b"}}")
+    return event_bytes, waited[start:-2]
 
 
 def main():
@@ -463,6 +504,7 @@ def main():
                                 capture_output=True, text=True, timeout=300)
         assert remote.returncode == 0, remote.stderr
         over_tcp = json.loads(remote.stdout)["responses"][0]
+        event_bytes, wait_bytes = raw_done_and_wait(int(port), core_netlist)
     finally:
         proc.send_signal(signal.SIGTERM)
         _, err = proc.communicate(timeout=60)
@@ -476,6 +518,15 @@ def main():
     print(f"tcp OK: {over_tcp['kept_terms']}-term simplify "
           f"({len(remote.stdout) >> 20} MB) through refgen --connect, "
           f"byte-identical to the in-process run")
+    # refgen --connect skips done events, so the raw session above checks
+    # them: the event and the wait reply carry one encoding of the job.
+    assert len(event_bytes) > 1 << 20, f"simplify result only {len(event_bytes)} bytes"
+    assert event_bytes == wait_bytes, (
+        f"done event result ({len(event_bytes)} bytes) differs from the wait "
+        f"reply result ({len(wait_bytes)} bytes)")
+    assert json.loads(event_bytes)["status"]["code"] == "ok"
+    print(f"tcp OK: done event and wait reply carry the same "
+          f"{len(event_bytes) >> 20} MB simplify result bytes")
 
     # --- 9. Finished TCP sessions are reaped -------------------------------
     proc = subprocess.Popen([daemon, "--listen=0"], stdout=subprocess.PIPE,
