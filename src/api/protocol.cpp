@@ -7,6 +7,8 @@
 #include <ostream>
 #include <utility>
 
+#include "support/strings.h"
+
 namespace symref::api::protocol {
 
 namespace {
@@ -85,7 +87,7 @@ Json job_info_json(const JobInfo& info) {
 
 }  // namespace
 
-std::string job_id_token(JobId id) { return "j" + std::to_string(id); }
+std::string job_id_token(JobId id) { return support::numbered("j", id); }
 
 Result<JobId> parse_job_id(const std::string& token) {
   // "j<decimal>", at most 19 digits (fits uint64 for every id we assign).

@@ -136,7 +136,12 @@ class Polynomial {
 
  private:
   void trim() {
-    while (!coeffs_.empty() && detail::coeff_is_zero(coeffs_.back())) coeffs_.pop_back();
+    // One resize instead of a pop_back loop: the same coefficients, and
+    // g++ 12 can then bound the size, so it stops flagging in-range
+    // accesses of inlined callers as -Warray-bounds.
+    std::size_t size = coeffs_.size();
+    while (size > 0 && detail::coeff_is_zero(coeffs_[size - 1])) --size;
+    coeffs_.resize(size);
   }
 
   std::vector<T> coeffs_;

@@ -120,12 +120,15 @@ std::string ScaledDouble::to_string(int significant_digits) const {
     mant10 *= 10.0;
     --d;
   }
+  // A double carries at most 17 significant digits; the clamp also bounds
+  // the printed length to the buffer.
+  const int decimals = std::clamp(significant_digits, 1, 17) - 1;
   char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", significant_digits - 1, mant10);
+  std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, mant10);
   // Rounding may print "10.000"; renormalize once more.
   if (buffer[0] == '1' && buffer[1] == '0') {
     ++d;
-    std::snprintf(buffer, sizeof(buffer), "%.*f", significant_digits - 1, 1.0);
+    std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, 1.0);
   }
   char out[96];
   std::snprintf(out, sizeof(out), "%s%se%+lld", sign() < 0 ? "-" : "", buffer,

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <exception>
+#include <iterator>
 #include <limits>
 #include <numbers>
 #include <optional>
@@ -198,6 +200,7 @@ struct SideState {
   const PolynomialReference* reference = nullptr;
   std::vector<int> retained;      // coefficient indices to enumerate
   std::vector<double> weights;    // band weight per retained coefficient
+  std::vector<double> epsilons;   // eq. (3) epsilon per retained coefficient
   std::vector<ModelTerm> terms;   // enumerated terms (all retained k)
   std::vector<char> kept;         // per-term keep flag after the drop stage
   std::vector<ScaledComplex> sum; // current model value per band point
@@ -206,6 +209,20 @@ struct SideState {
 const char* side_name(symbolic::TransferSide side) {
   return side == symbolic::TransferSide::Numerator ? "numerator" : "denominator";
 }
+
+/// One SDG run for a retained (side, coefficient) pair. Runs are
+/// independent, so each fills its own slot on the request's pool; the
+/// caller merges the slots in (side, index) order.
+struct Enumeration {
+  int side = 0;
+  std::size_t index = 0;             // into SideState::retained
+  std::vector<ModelTerm> terms;
+  std::size_t generated = 0;
+  bool met = false;
+  std::string termination;
+  double relative_error = 1.0;
+  std::exception_ptr error;          // rethrown by the merge, in order
+};
 
 /// Band weight of coefficient k: max over band points of its share of the
 /// side polynomial, |c_k| w^k / |side(jw)|. A relative error eps on c_k
@@ -452,34 +469,77 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
         epsilons[j] = std::clamp((share - capped_cost) / (uncapped * s.weights[j]), 1e-12, 0.3);
       }
     }
-    std::string unmet;
-    for (std::size_t j = 0; j < s.retained.size(); ++j) {
-      check_cancel(cancel);
-      const int k = s.retained[j];
-      symbolic::SdgOptions sdg;
-      sdg.epsilon = epsilons[j];
-      sdg.max_terms = options.max_terms_per_coefficient;
-      sdg.max_queue = options.max_queue;
-      const symbolic::SdgResult generated = symbolic::generate_transfer_terms(
-          matrix, spec, s.side, k, s.reference->at(k).value, sdg);
-      result.enumerated_terms += generated.generated();
-      if (!generated.met) {
-        unmet += (unmet.empty() ? "" : ", ") + std::string("s^") + std::to_string(k) + " (" +
-                 generated.termination + ", err " + std::to_string(generated.relative_error) +
-                 ")";
-      }
-      for (const symbolic::Term& term : generated.terms) {
-        ModelTerm entry;
-        entry.term = term;
-        entry.value = term.value(matrix.symbols());
-        entry.contrib.resize(points);
-        for (std::size_t i = 0; i < points; ++i) {
-          entry.contrib[i] =
-              ScaledComplex(entry.value) * powers[static_cast<std::size_t>(k)][i];
+    s.epsilons = std::move(epsilons);
+  }
+
+  // One pool task per retained (side, k); a one-lane pool runs them inline
+  // in this order. Each task moves its terms into its own slot.
+  std::vector<Enumeration> enumerations;
+  for (int sd = 0; sd < 2; ++sd) {
+    for (std::size_t j = 0; j < sides[sd].retained.size(); ++j) {
+      Enumeration& e = enumerations.emplace_back();
+      e.side = sd;
+      e.index = j;
+    }
+  }
+  pool.parallel_for(enumerations.size(), [&](std::size_t begin, std::size_t end, int) {
+    for (std::size_t n = begin; n < end; ++n) {
+      Enumeration& e = enumerations[n];
+      const SideState& s = sides[e.side];
+      try {
+        check_cancel(cancel);
+        const int k = s.retained[e.index];
+        symbolic::SdgOptions sdg;
+        sdg.epsilon = s.epsilons[e.index];
+        sdg.max_terms = options.max_terms_per_coefficient;
+        sdg.max_queue = options.max_queue;
+        sdg.cancel = cancel;
+        symbolic::SdgResult generated = symbolic::generate_transfer_terms(
+            matrix, spec, s.side, k, s.reference->at(k).value, sdg);
+        e.generated = generated.generated();
+        e.met = generated.met;
+        e.termination = std::move(generated.termination);
+        e.relative_error = generated.relative_error;
+        e.terms.reserve(generated.terms.size());
+        for (symbolic::Term& term : generated.terms) {
+          ModelTerm entry;
+          entry.value = term.value(matrix.symbols());
+          entry.term = std::move(term);
+          entry.contrib.resize(points);
+          for (std::size_t i = 0; i < points; ++i) {
+            entry.contrib[i] =
+                ScaledComplex(entry.value) * powers[static_cast<std::size_t>(k)][i];
+          }
+          e.terms.push_back(std::move(entry));
         }
-        s.terms.push_back(std::move(entry));
+      } catch (...) {
+        e.error = std::current_exception();
       }
     }
+  });
+
+  // Merge in (side, index) order: the same terms, counts, unmet text and
+  // first error the serial loop produced. Each slot is freed once moved.
+  std::size_t first = 0;
+  for (SideState& s : sides) {
+    const std::size_t last = first + s.retained.size();
+    std::size_t side_terms = 0;
+    for (std::size_t n = first; n < last; ++n) side_terms += enumerations[n].terms.size();
+    s.terms.reserve(side_terms);
+    std::string unmet;
+    for (std::size_t n = first; n < last; ++n) {
+      Enumeration& e = enumerations[n];
+      if (e.error) std::rethrow_exception(e.error);
+      result.enumerated_terms += e.generated;
+      if (!e.met) {
+        unmet += (unmet.empty() ? "" : ", ") + std::string("s^") +
+                 std::to_string(s.retained[e.index]) + " (" + e.termination + ", err " +
+                 std::to_string(e.relative_error) + ")";
+      }
+      std::move(e.terms.begin(), e.terms.end(), std::back_inserter(s.terms));
+      std::vector<ModelTerm>().swap(e.terms);
+    }
+    first = last;
     // Unmet coefficients are not fatal by themselves — the certificate below
     // is the ground truth — but remember them for the error message.
     if (!unmet.empty() && s.terms.empty()) {

@@ -78,7 +78,8 @@ struct SimplifyOptions {
   double coefficient_skip_factor = 1e-3;
   /// Reference generation on the reduced circuit; `engine.threads`,
   /// `engine.kernel` and `engine.cancel` also drive the replay trials of
-  /// the pruning/certification stages. As everywhere else, threads and
+  /// the pruning/certification stages, and `threads`/`cancel` the
+  /// per-coefficient SDG enumerations. As everywhere else, threads and
   /// kernel never influence results.
   AdaptiveOptions engine;
 };

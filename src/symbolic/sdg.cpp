@@ -36,6 +36,23 @@ struct PathLink {
   std::int32_t symbol = 0;
 };
 
+/// One admissible child of a state at a given level: the atom's column bit,
+/// stamp sign, log10 |value|, symbol id and kind. A level's candidates are
+/// listed once per search in column-then-atom order, so expansion walks
+/// only the non-zero atoms of its row and reuses their logarithms.
+struct Candidate {
+  std::uint64_t bit = 0;
+  double sign = 1.0;
+  double log_value = 0.0;
+  std::int32_t symbol = 0;
+  bool is_capacitor = false;
+};
+
+/// Pops between two cancellation checks: rare enough to cost nothing next
+/// to the heap work, frequent enough that a cancelled search stops within
+/// milliseconds.
+constexpr std::size_t kCancelCheckPops = 4096;
+
 struct BoundOrder {
   bool operator()(const SearchState& a, const SearchState& b) const noexcept {
     // Max-heap on the admissible bound; equal bounds prefer the deeper
@@ -74,16 +91,21 @@ SdgResult run_search(const SymbolicNodalMatrix& matrix, std::vector<int> rows,
   const double kNegInf = -std::numeric_limits<double>::infinity();
   std::vector<double> row_gmax_log(levels, kNegInf);
   std::vector<double> row_cmax_log(levels, kNegInf);
+  std::vector<std::vector<Candidate>> candidates(levels);
   for (std::size_t level = 0; level < levels; ++level) {
     const int row = rows[level];
     for (int col = 0; col < matrix.dim(); ++col) {
-      if (!(allowed_cols & (std::uint64_t{1} << col))) continue;
+      const std::uint64_t bit = std::uint64_t{1} << col;
+      if (!(allowed_cols & bit)) continue;
       for (const MatrixAtom& atom : matrix.entry(row, col)) {
         const Symbol& symbol = matrix.symbols().at(atom.symbol);
-        const double value = std::fabs(symbol.value);
-        if (value <= 0.0) continue;
+        if (symbol.value == 0.0) continue;
+        const double log_value = std::log10(std::fabs(symbol.value));
+        candidates[level].push_back(Candidate{bit, atom.sign, log_value,
+                                              static_cast<std::int32_t>(atom.symbol),
+                                              symbol.is_capacitor});
         double& slot = symbol.is_capacitor ? row_cmax_log[level] : row_gmax_log[level];
-        slot = std::max(slot, std::log10(value));
+        slot = std::max(slot, log_value);
       }
     }
   }
@@ -129,7 +151,11 @@ SdgResult run_search(const SymbolicNodalMatrix& matrix, std::vector<int> rows,
   };
 
   const BoundOrder order;
+  std::size_t pops = 0;
   while (!frontier.empty()) {
+    if (pops++ % kCancelCheckPops == 0 && options.cancel.cancelled()) {
+      throw support::CancelledError();
+    }
     if (frontier.size() > options.max_queue) {
       // Discard the weakest-bound half and keep generating on the strong
       // half. Everything above the discarded bound still streams out exact
@@ -180,39 +206,38 @@ SdgResult run_search(const SymbolicNodalMatrix& matrix, std::vector<int> rows,
     if (caps_needed < 0) continue;
     if (suffix_bound(state.position, caps_needed) == kNegInf) continue;
 
-    const int row = rows[static_cast<std::size_t>(state.position)];
-    for (int col = 0; col < matrix.dim(); ++col) {
-      const std::uint64_t bit = std::uint64_t{1} << col;
-      if (!(allowed_cols & bit) || (state.used_cols & bit)) continue;
-      // Permutation parity: inversions added by assigning column `col` at
-      // this level equal the number of already-used columns above `col`
-      // (relative order within the allowed set is what matters, and used
-      // is a subset of allowed).
-      const int inversions =
-          std::popcount(state.used_cols & ~((bit << 1) - std::uint64_t{1}));
-      const double parity = (inversions % 2 == 0) ? 1.0 : -1.0;
-      for (const MatrixAtom& atom : matrix.entry(row, col)) {
-        const Symbol& symbol = matrix.symbols().at(atom.symbol);
-        if (symbol.value == 0.0) continue;
-        if (symbol.is_capacitor && state.caps + 1 > k) continue;
-        const int child_caps = state.caps + (symbol.is_capacitor ? 1 : 0);
-        const double tail = suffix_bound(state.position + 1, k - child_caps);
-        if (tail == kNegInf) continue;  // cannot reach exactly k capacitors
-        SearchState child;
-        child.position = state.position + 1;
-        child.used_cols = state.used_cols | bit;
-        child.caps = child_caps;
-        // The symbol's own sign is applied at evaluation time (Term::value
-        // multiplies the signed design-point values), so the coefficient
-        // carries only the permutation parity and the stamp sign.
-        child.sign = state.sign * parity * atom.sign;
-        child.log_magnitude = state.log_magnitude + std::log10(std::fabs(symbol.value));
-        child.bound = child.log_magnitude + tail;
-        arena.push_back(PathLink{state.path, static_cast<std::int32_t>(atom.symbol)});
-        child.path = static_cast<std::int32_t>(arena.size()) - 1;
-        frontier.push_back(child);
-        std::push_heap(frontier.begin(), frontier.end(), order);
+    std::uint64_t last_bit = 0;
+    double parity = 1.0;
+    for (const Candidate& candidate : candidates[static_cast<std::size_t>(state.position)]) {
+      if (state.used_cols & candidate.bit) continue;
+      if (candidate.bit != last_bit) {
+        // Permutation parity: inversions added by assigning this column at
+        // this level equal the number of already-used columns above it
+        // (relative order within the allowed set is what matters, and used
+        // is a subset of allowed).
+        last_bit = candidate.bit;
+        const int inversions =
+            std::popcount(state.used_cols & ~((candidate.bit << 1) - std::uint64_t{1}));
+        parity = (inversions % 2 == 0) ? 1.0 : -1.0;
       }
+      if (candidate.is_capacitor && state.caps + 1 > k) continue;
+      const int child_caps = state.caps + (candidate.is_capacitor ? 1 : 0);
+      const double tail = suffix_bound(state.position + 1, k - child_caps);
+      if (tail == kNegInf) continue;  // cannot reach exactly k capacitors
+      SearchState child;
+      child.position = state.position + 1;
+      child.used_cols = state.used_cols | candidate.bit;
+      child.caps = child_caps;
+      // The symbol's own sign is applied at evaluation time (Term::value
+      // multiplies the signed design-point values), so the coefficient
+      // carries only the permutation parity and the stamp sign.
+      child.sign = state.sign * parity * candidate.sign;
+      child.log_magnitude = state.log_magnitude + candidate.log_value;
+      child.bound = child.log_magnitude + tail;
+      arena.push_back(PathLink{state.path, candidate.symbol});
+      child.path = static_cast<std::int32_t>(arena.size()) - 1;
+      frontier.push_back(child);
+      std::push_heap(frontier.begin(), frontier.end(), order);
     }
   }
 

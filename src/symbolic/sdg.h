@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "numeric/scaled.h"
+#include "support/cancellation.h"
 #include "symbolic/det.h"
 #include "symbolic/expr.h"
 
@@ -37,6 +38,9 @@ struct SdgOptions {
   /// below which terms may be missing (frontier_pruned records this). A
   /// search that ends un-met after pruning reports "queue_overflow".
   std::size_t max_queue = 2000000;
+  /// Checked every few thousand frontier pops; a cancelled search throws
+  /// support::CancelledError. The default token never cancels.
+  support::CancellationToken cancel;
 };
 
 struct SdgResult {

@@ -18,6 +18,7 @@
 #include "circuits/ua741.h"
 #include "netlist/writer.h"
 #include "support/fault_injection.h"
+#include "support/strings.h"
 
 namespace symref::api {
 namespace {
@@ -50,9 +51,9 @@ std::string ladder_netlist(int stages) {
   std::string text = ".title rc ladder\n";
   std::string prev = "in";
   for (int i = 0; i < stages; ++i) {
-    const std::string node = "n" + std::to_string(i);
-    text += "R" + std::to_string(i) + " " + prev + " " + node + " 1k\n";
-    text += "C" + std::to_string(i) + " " + node + " 0 1n\n";
+    const std::string node = support::numbered("n", i);
+    text += support::numbered("R", i) + " " + prev + " " + node + " 1k\n";
+    text += support::numbered("C", i) + " " + node + " 0 1n\n";
     prev = node;
   }
   text += "Rload " + prev + " out 1k\nCload out 0 1n\n";

@@ -7,6 +7,7 @@
 #include "circuits/ota.h"
 #include "circuits/ua741.h"
 #include "netlist/canonical.h"
+#include "support/strings.h"
 
 namespace symref::interp {
 namespace {
@@ -81,7 +82,7 @@ TEST(OrderBound, DimensionCapsTheBound) {
   // Many caps on two nodes: rank <= 2 regardless of element count.
   netlist::Circuit c;
   for (int i = 0; i < 6; ++i) {
-    c.add_capacitor("c" + std::to_string(i), "a", i % 2 ? "b" : "0", 1e-12);
+    c.add_capacitor(support::numbered("c", i), "a", i % 2 ? "b" : "0", 1e-12);
   }
   c.add_resistor("r1", "a", "b", 1e3);
   EXPECT_EQ(capacitor_rank_bound(c), 2);

@@ -12,6 +12,7 @@
 #include "mna/nodal.h"
 #include "netlist/canonical.h"
 #include "refgen/validate.h"
+#include "support/strings.h"
 #include "symbolic/det.h"
 
 namespace symref::refgen {
@@ -31,7 +32,7 @@ TEST(Adaptive, LadderCoefficientsMatchSymbolicOracle) {
     const netlist::Circuit ladder = circuits::rc_ladder(n);
     const netlist::Circuit canonical = netlist::canonicalize(ladder);
     const auto spec =
-        mna::TransferSpec::transimpedance("in", "n" + std::to_string(n));
+        mna::TransferSpec::transimpedance("in", support::numbered("n", n));
     const AdaptiveResult result = generate_reference(ladder, spec);
     ASSERT_TRUE(result.complete) << "n=" << n << " " << result.termination;
 
@@ -127,7 +128,9 @@ TEST(Adaptive, Ua741CompletesWithPaperLikeSchedule) {
 
   // Overlap re-computations agreed.
   for (const auto& it : result.iterations) {
-    if (it.max_overlap_mismatch > 0.0) EXPECT_LT(it.max_overlap_mismatch, 1e-3);
+    if (it.max_overlap_mismatch > 0.0) {
+      EXPECT_LT(it.max_overlap_mismatch, 1e-3);
+    }
   }
 
   // The reference reproduces the simulator's Bode plot (Fig. 2).

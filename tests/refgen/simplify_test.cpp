@@ -8,6 +8,8 @@
 
 #include <complex>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "circuits/ladder.h"
 #include "circuits/ota.h"
@@ -78,6 +80,22 @@ double independent_max_error(const netlist::Circuit& circuit, const mna::Transfe
   return worst;
 }
 
+/// Every kept term equal bit for bit: symbols, s-power, coefficient and
+/// extended-range value.
+void expect_same_terms(const std::vector<SimplifiedTerm>& a,
+                       const std::vector<SimplifiedTerm>& b, std::size_t config) {
+  ASSERT_EQ(a.size(), b.size()) << "config " << config;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].symbols, b[i].symbols) << "config " << config << " term " << i;
+    EXPECT_EQ(a[i].s_power, b[i].s_power) << "config " << config << " term " << i;
+    EXPECT_EQ(a[i].coefficient, b[i].coefficient) << "config " << config << " term " << i;
+    EXPECT_EQ(a[i].value.mantissa(), b[i].value.mantissa())
+        << "config " << config << " term " << i;
+    EXPECT_EQ(a[i].value.exponent2(), b[i].value.exponent2())
+        << "config " << config << " term " << i;
+  }
+}
+
 TEST(Simplify, RcLadderCertificateReproducesIndependently) {
   const netlist::Circuit ladder = circuits::rc_ladder(4);
   const mna::TransferSpec spec = circuits::rc_ladder_spec(4);
@@ -130,7 +148,8 @@ TEST(Simplify, Ua741BitIdenticalAcrossThreadsAndKernels) {
   base.band_points = 5;
 
   std::vector<SimplifyResult> results;
-  for (const int threads : {1, 8}) {
+  // Three lanes split the per-coefficient enumerations unevenly.
+  for (const int threads : {1, 2, 3, 8}) {
     for (const bool batched : {false, true}) {
       SimplifyOptions options = base;
       options.engine.threads = threads;
@@ -159,14 +178,8 @@ TEST(Simplify, Ua741BitIdenticalAcrossThreadsAndKernels) {
       EXPECT_EQ(first.certificate.relative_error[i], other.certificate.relative_error[i])
           << "config " << r << " point " << i;
     }
-    ASSERT_EQ(first.numerator_terms.size(), other.numerator_terms.size()) << r;
-    ASSERT_EQ(first.denominator_terms.size(), other.denominator_terms.size()) << r;
-    for (std::size_t i = 0; i < first.numerator_terms.size(); ++i) {
-      EXPECT_EQ(first.numerator_terms[i].value.mantissa(),
-                other.numerator_terms[i].value.mantissa());
-      EXPECT_EQ(first.numerator_terms[i].value.exponent2(),
-                other.numerator_terms[i].value.exponent2());
-    }
+    expect_same_terms(first.numerator_terms, other.numerator_terms, r);
+    expect_same_terms(first.denominator_terms, other.denominator_terms, r);
   }
 }
 
@@ -190,6 +203,40 @@ TEST(Simplify, UncertifiableCapsThrowTermEnumeration) {
   options.max_terms_per_coefficient = 1;
   EXPECT_THROW(simplify_transfer(ladder, circuits::rc_ladder_spec(4), options),
                symbolic::TermEnumerationError);
+}
+
+TEST(Simplify, UncertifiableMessageIsTheSameAtEveryThreadCount) {
+  // The enumerations run concurrently but merge in (side, k) order, so a
+  // refusal reads the same at any width: the budget miss of the merged
+  // model, and (with a two-state frontier, where the numerator completes
+  // no term) the unmet-coefficient list.
+  const netlist::Circuit ladder = circuits::rc_ladder(4);
+  SimplifyOptions options;
+  options.error_budget = 1e-6;
+  options.f_start_hz = 1e3;
+  options.f_stop_hz = 1e6;
+  options.band_points = 5;
+  options.prune = false;
+  options.max_terms_per_coefficient = 1;
+  for (const std::size_t max_queue : {options.max_queue, std::size_t{2}}) {
+    options.max_queue = max_queue;
+    std::vector<std::string> messages;
+    for (const int threads : {1, 4}) {
+      options.engine.threads = threads;
+      try {
+        simplify_transfer(ladder, circuits::rc_ladder_spec(4), options);
+        ADD_FAILURE() << "threads " << threads << ": expected TermEnumerationError";
+      } catch (const symbolic::TermEnumerationError& error) {
+        messages.emplace_back(error.what());
+      }
+    }
+    ASSERT_EQ(messages.size(), 2u);
+    EXPECT_EQ(messages[0], messages[1]) << "max_queue " << max_queue;
+    if (max_queue == 2) {
+      EXPECT_NE(messages[0].find("unmet coefficients: s^0 (queue_overflow"), std::string::npos)
+          << messages[0];
+    }
+  }
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "sparse/lu.h"
 #include "support/fault_injection.h"
 #include "support/random.h"
+#include "support/strings.h"
 #include "support/thread_pool.h"
 
 namespace symref::sparse {
@@ -161,7 +162,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(8, 16, 33, 64, 128, 512),
                        ::testing::Values(1, 3, 8, 33)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_w" +
+      return support::numbered("n", std::get<0>(info.param)) + "_w" +
              std::to_string(std::get<1>(info.param));
     });
 

@@ -11,6 +11,7 @@
 #include "netlist/canonical.h"
 #include "sparse/dense.h"
 #include "support/random.h"
+#include "support/strings.h"
 #include "symbolic/errors.h"
 
 namespace symref::symbolic {
@@ -151,7 +152,7 @@ TEST(SymbolicDet, TooLargeMatrixRejected) {
   // Construction admits up to the SDG generators' 64-column mask...
   netlist::Circuit big;
   for (int i = 0; i < 70; ++i) {
-    big.add_conductance("g" + std::to_string(i), "n" + std::to_string(i), "0", 1.0);
+    big.add_conductance(support::numbered("g", i), support::numbered("n", i), "0", 1.0);
   }
   EXPECT_THROW(SymbolicNodalMatrix{big}, NonAdmissibleError);
 }
@@ -160,7 +161,7 @@ TEST(SymbolicDet, FullExpansionRejectsLargeMatrices) {
   // ...but the exponential full expansion keeps its own ~20-node cap.
   netlist::Circuit mid;
   for (int i = 0; i < 25; ++i) {
-    mid.add_conductance("g" + std::to_string(i), "n" + std::to_string(i), "0", 1.0);
+    mid.add_conductance(support::numbered("g", i), support::numbered("n", i), "0", 1.0);
   }
   const SymbolicNodalMatrix matrix(mid);
   EXPECT_EQ(matrix.dim(), 25);

@@ -6,6 +6,7 @@
 #include "circuits/ladder.h"
 #include "mna/ac.h"
 #include "refgen/adaptive.h"
+#include "support/strings.h"
 
 namespace symref::symbolic {
 namespace {
@@ -140,8 +141,8 @@ TEST(Sbg, LadderParasiticSweep) {
   EXPECT_EQ(result.simplified.find_element("rp2"), nullptr);
   EXPECT_EQ(result.simplified.find_element("rp3"), nullptr);
   for (int i = 1; i <= 3; ++i) {
-    EXPECT_NE(result.simplified.find_element("r" + std::to_string(i)), nullptr) << i;
-    EXPECT_NE(result.simplified.find_element("c" + std::to_string(i)), nullptr) << i;
+    EXPECT_NE(result.simplified.find_element(support::numbered("r", i)), nullptr) << i;
+    EXPECT_NE(result.simplified.find_element(support::numbered("c", i)), nullptr) << i;
   }
 }
 

@@ -8,6 +8,7 @@
 #include "circuits/ua741.h"
 #include "netlist/canonical.h"
 #include "refgen/adaptive.h"
+#include "support/cancellation.h"
 
 namespace symref::symbolic {
 namespace {
@@ -283,6 +284,27 @@ TEST(Sdg, TransferTermsSingleEnded) {
                                               num.at(0).value, options);
   EXPECT_TRUE(result.met) << result.termination;
   EXPECT_EQ(result.generated(), 1u);  // exactly g1*g2*g3
+}
+
+TEST(Sdg, CancelledTokenStopsTheSearch) {
+  // A cancelled token stops the generator at its next checkpoint — the
+  // first pop — with the typed error the service maps to kCancelled.
+  const netlist::Circuit ladder = circuits::rc_ladder(3);
+  const netlist::Circuit canonical = netlist::canonicalize(ladder);
+  const auto spec = circuits::rc_ladder_spec(3);
+  const SymbolicNodalMatrix matrix(canonical);
+  support::CancellationSource source;
+  source.cancel();
+  SdgOptions options;
+  options.cancel = source.token();
+  EXPECT_THROW(generate_transfer_terms(matrix, spec, TransferSide::Denominator, 1,
+                                       ScaledDouble(1.0), options),
+               support::CancelledError);
+  // The same search with a live token runs to completion.
+  options.cancel = support::CancellationSource().token();
+  const auto result = generate_transfer_terms(matrix, spec, TransferSide::Denominator, 1,
+                                              ScaledDouble(1.0), options);
+  EXPECT_GT(result.generated(), 0u);
 }
 
 TEST(Sdg, TransferTermsRejectDifferentialSpecs) {
