@@ -81,7 +81,8 @@ struct JobOutcome {
 };
 
 /// Wire form of an outcome: the typed response envelope on success, the
-/// uniform {"type", "status"} error payload otherwise.
+/// uniform {"type", "status"} error payload otherwise. Computed outcomes
+/// come back as encoded text (JsonWriter); a store hit as its parsed tree.
 Json to_json(const JobOutcome& outcome);
 
 /// Point-in-time job snapshot (poll / list).

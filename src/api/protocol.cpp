@@ -294,7 +294,7 @@ Json Session::dispatch(const Json& request) {
       JobDoneFn on_done = [writer, store, key](JobId job, const JobOutcome& outcome) {
         // The outcome is encoded once: the done event, this job's wait/poll
         // reply and the reference store all carry these bytes.
-        const auto text = std::make_shared<const std::string>(to_json(outcome).dump());
+        const std::shared_ptr<const std::string> text = to_json(outcome).dump_shared();
         writer->write_done(job, text);
         // Persist after the client saw its event. Only clean computed
         // results are stored: not errors, not store replays (raw), not

@@ -1,94 +1,147 @@
 #include "api/serialize.h"
 
-#include <bit>
-#include <charconv>
+#include <algorithm>
 #include <climits>
 #include <cmath>
+#include <complex>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace symref::api {
 
 std::string hex_double(double value) {
-  const auto bits = std::bit_cast<std::uint64_t>(value);
-  const int biased_exponent = static_cast<int>((bits >> 52) & 0x7ff);
-  std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
-  char buffer[32];
-  char* at = buffer;
-  if ((bits >> 63) != 0) *at++ = '-';
-  if (biased_exponent == 0x7ff) return std::string(buffer, at) + (fraction == 0 ? "inf" : "nan");
-  // Zeros print as 0x0p+0; subnormals keep the leading 0 at exponent -1022.
-  int exponent = biased_exponent - 1023;
-  if (biased_exponent == 0) exponent = fraction == 0 ? 0 : -1022;
-  *at++ = '0';
-  *at++ = 'x';
-  *at++ = biased_exponent == 0 ? '0' : '1';
-  if (fraction != 0) {
-    int digits = 13;  // 52 fraction bits, trailing zero nibbles trimmed
-    for (; (fraction & 0xf) == 0; fraction >>= 4) --digits;
-    *at++ = '.';
-    for (int shift = 4 * (digits - 1); shift >= 0; shift -= 4) {
-      *at++ = "0123456789abcdef"[(fraction >> shift) & 0xf];
-    }
-  }
-  *at++ = 'p';
-  *at++ = exponent < 0 ? '-' : '+';
-  at = std::to_chars(at, buffer + sizeof(buffer), exponent < 0 ? -exponent : exponent).ptr;
-  return std::string(buffer, at);
+  std::string out;
+  append_hex_double(out, value);
+  return out;
 }
 
 namespace {
 
-Json scaled_to_json(const numeric::ScaledDouble& value) {
-  Json::Object out;
-  out.reserve(3);
-  out.emplace_back("mantissa", hex_double(value.mantissa()));
-  out.emplace_back("exp2", static_cast<double>(value.exponent2()));
+// --- Response writers ---------------------------------------------------------
+//
+// Every response goes straight into one JsonWriter, members in wire order.
+// The size hints are rough per-entry byte counts, so a multi-megabyte
+// payload is not regrown on its way out.
+
+void write_status(JsonWriter& out, const Status& status) {
+  out.begin_object().member("code", status_code_name(status.code()));
+  if (!status.message().empty()) out.member("message", status.message());
+  if (status.location().known()) {
+    out.member("line", status.location().line);
+    if (status.location().column > 0) out.member("column", status.location().column);
+  }
+  out.end_object();
+}
+
+/// Shared response header: opens the object, which the caller closes after
+/// appending its fields (an error payload is the header alone).
+void begin_envelope(JsonWriter& out, const char* type, const Status& status) {
+  out.begin_object().member("type", type).key("status");
+  write_status(out, status);
+}
+
+void write_error(JsonWriter& out, const char* type, const Status& status) {
+  begin_envelope(out, type, status);
+  out.end_object();
+}
+
+void write_scaled(JsonWriter& out, const numeric::ScaledDouble& value) {
+  out.begin_object()
+      .hex_member("mantissa", value.mantissa())
+      .member("exp2", static_cast<double>(value.exponent2()))
+      .key("approx");
   // Convenience double for consumers that do not need the extended range;
   // null when the value over/underflows IEEE double (saturated to_double()
   // would be misleading, and JSON cannot carry the inf anyway).
   const double approx = value.to_double();
   if (std::isfinite(approx) && (approx != 0.0 || value.is_zero())) {
-    out.emplace_back("approx", approx);
+    out.value(approx);
   } else {
-    out.emplace_back("approx", nullptr);
+    out.null();
   }
-  return out;
+  out.end_object();
 }
 
-Json complex_to_json(std::complex<double> value) {
-  Json out = Json::object();
-  out.set("real", value.real());
-  out.set("imag", value.imag());
-  return out;
+void write_complex(JsonWriter& out, std::complex<double> value) {
+  out.begin_object().member("real", value.real()).member("imag", value.imag()).end_object();
 }
 
-Json polynomial_to_json(const refgen::PolynomialReference& poly) {
-  Json coefficients = Json::array();
+void write_polynomial(JsonWriter& out, const refgen::PolynomialReference& poly) {
+  out.begin_object()
+      .member("order_bound", poly.order_bound())
+      .member("effective_order", poly.effective_order())
+      .member("complete", poly.complete())
+      .key("coefficients")
+      .begin_array();
   for (int i = 0; i <= poly.order_bound(); ++i) {
     const refgen::Coefficient& c = poly.at(i);
-    Json entry = Json::object();
-    entry.set("index", i);
-    entry.set("value", scaled_to_json(c.value));
-    entry.set("status", refgen::coefficient_status_name(c.status));
-    entry.set("accuracy", c.relative_accuracy);
-    coefficients.push_back(std::move(entry));
+    out.begin_object().member("index", i).key("value");
+    write_scaled(out, c.value);
+    out.member("status", refgen::coefficient_status_name(c.status))
+        .member("accuracy", c.relative_accuracy)
+        .end_object();
   }
-  Json out = Json::object();
-  out.set("order_bound", poly.order_bound());
-  out.set("effective_order", poly.effective_order());
-  out.set("complete", poly.complete());
-  out.set("coefficients", std::move(coefficients));
-  return out;
+  out.end_array().end_object();
 }
 
-/// Shared response header. Success payloads append their fields after it.
-Json envelope(const char* type, const Status& status) {
-  Json out = Json::object();
-  out.set("type", type);
-  out.set("status", to_json(status));
-  return out;
+void write_reference(JsonWriter& out, const refgen::NumericalReference& reference) {
+  out.begin_object().key("numerator");
+  write_polynomial(out, reference.numerator());
+  out.key("denominator");
+  write_polynomial(out, reference.denominator());
+  out.end_object();
+}
+
+std::size_t reference_size_hint(const refgen::NumericalReference& reference) {
+  constexpr std::size_t kCoefficientBytes = 160;
+  return 512 + kCoefficientBytes * static_cast<std::size_t>(reference.numerator().order_bound() +
+                                                            reference.denominator().order_bound() +
+                                                            2);
+}
+
+void write_refgen(JsonWriter& out, const RefgenResponse& response) {
+  const refgen::AdaptiveResult& result = response.result;
+  begin_envelope(out, "refgen", Status());
+  out.member("from_cache", response.from_cache)
+      .member("seconds", response.seconds)
+      .member("termination", result.termination)
+      .member("complete", result.complete)
+      .member("iterations", static_cast<double>(result.iterations.size()))
+      .member("total_evaluations", result.total_evaluations)
+      .member("engine_seconds", result.seconds)
+      .member("numerator_degree", result.numerator_degree)
+      .member("denominator_degree", result.denominator_degree)
+      .member("degraded", result.degraded)
+      .member("degraded_points", static_cast<double>(result.degraded_points))
+      .key("reference");
+  write_reference(out, result.reference);
+  out.end_object();
+}
+
+void write_simplified_terms(JsonWriter& out, const std::vector<refgen::SimplifiedTerm>& terms) {
+  out.begin_array();
+  for (const refgen::SimplifiedTerm& term : terms) {
+    out.begin_object().member("coefficient", term.coefficient).key("symbols").begin_array();
+    for (const std::string& symbol : term.symbols) out.value(symbol);
+    out.end_array().member("s_power", term.s_power).key("value");
+    write_scaled(out, term.value);
+    out.end_object();
+  }
+  out.end_array();
+}
+
+/// A term is ~150 bytes of fixed text plus its quoted, comma-separated
+/// symbol names.
+std::size_t terms_size_hint(const std::vector<refgen::SimplifiedTerm>& terms) {
+  std::size_t bytes = 0;
+  for (const refgen::SimplifiedTerm& term : terms) {
+    bytes += 160;
+    for (const std::string& symbol : term.symbols) bytes += symbol.size() + 3;
+  }
+  return bytes;
 }
 
 // --- Strict decoding helpers ------------------------------------------------
@@ -210,14 +263,9 @@ Status read_bool(const Json& json, const char* key, bool* out, const char* what)
 }  // namespace
 
 Json to_json(const Status& status) {
-  Json out = Json::object();
-  out.set("code", status_code_name(status.code()));
-  if (!status.message().empty()) out.set("message", status.message());
-  if (status.location().known()) {
-    out.set("line", status.location().line);
-    if (status.location().column > 0) out.set("column", status.location().column);
-  }
-  return out;
+  JsonWriter out(64 + status.message().size());
+  write_status(out, status);
+  return out.take();
 }
 
 Json to_json(const mna::TransferSpec& spec) {
@@ -250,268 +298,275 @@ Json to_json(const refgen::AdaptiveOptions& options) {
 }
 
 Json to_json(const refgen::NumericalReference& reference) {
-  Json out = Json::object();
-  out.set("numerator", polynomial_to_json(reference.numerator()));
-  out.set("denominator", polynomial_to_json(reference.denominator()));
-  return out;
+  JsonWriter out(reference_size_hint(reference));
+  write_reference(out, reference);
+  return out.take();
 }
 
 Json to_json(const RefgenResponse& response) {
-  Json out = envelope("refgen", Status());
-  out.set("from_cache", response.from_cache);
-  out.set("seconds", response.seconds);
-  out.set("termination", response.result.termination);
-  out.set("complete", response.result.complete);
-  out.set("iterations", static_cast<double>(response.result.iterations.size()));
-  out.set("total_evaluations", response.result.total_evaluations);
-  out.set("engine_seconds", response.result.seconds);
-  out.set("numerator_degree", response.result.numerator_degree);
-  out.set("denominator_degree", response.result.denominator_degree);
-  out.set("degraded", response.result.degraded);
-  out.set("degraded_points", static_cast<double>(response.result.degraded_points));
-  out.set("reference", to_json(response.result.reference));
-  return out;
+  JsonWriter out(reference_size_hint(response.result.reference));
+  write_refgen(out, response);
+  return out.take();
 }
 
 Json to_json(const OpResponse& response) {
-  Json out = envelope("op", Status());
-  out.set("from_cache", response.from_cache);
-  out.set("seconds", response.seconds);
   const dc::OpResult& result = response.result;
-  Json nodes = Json::array();
+  JsonWriter out(1024 + 96 * (result.node_names.size() + result.branch_names.size()) +
+                 256 * result.devices.size());
+  begin_envelope(out, "op", Status());
+  out.member("from_cache", response.from_cache)
+      .member("seconds", response.seconds)
+      .key("nodes")
+      .begin_array();
   for (std::size_t i = 0; i < result.node_names.size(); ++i) {
-    Json entry = Json::object();
-    entry.set("name", result.node_names[i]);
     // Hex floats: the 1-vs-N-thread byte-compare of the CLI smoke rides on
     // bit-exactness, like the reference coefficients.
-    entry.set("v", hex_double(result.node_voltages[i]));
-    entry.set("volts", result.node_voltages[i]);
-    nodes.push_back(std::move(entry));
+    out.begin_object()
+        .member("name", result.node_names[i])
+        .hex_member("v", result.node_voltages[i])
+        .member("volts", result.node_voltages[i])
+        .end_object();
   }
-  out.set("nodes", std::move(nodes));
-  Json branches = Json::array();
+  out.end_array().key("branches").begin_array();
   for (std::size_t i = 0; i < result.branch_names.size(); ++i) {
-    Json entry = Json::object();
-    entry.set("name", result.branch_names[i]);
-    entry.set("i", hex_double(result.branch_currents[i]));
-    entry.set("amps", result.branch_currents[i]);
-    branches.push_back(std::move(entry));
+    out.begin_object()
+        .member("name", result.branch_names[i])
+        .hex_member("i", result.branch_currents[i])
+        .member("amps", result.branch_currents[i])
+        .end_object();
   }
-  out.set("branches", std::move(branches));
-  Json devices = Json::array();
+  out.end_array().key("devices").begin_array();
   for (const dc::OpDeviceInfo& device : result.devices) {
-    Json entry = Json::object();
-    entry.set("name", device.name);
-    entry.set("kind", device.kind);
-    Json values = Json::object();
-    for (const auto& [key, value] : device.values) values.set(key, hex_double(value));
-    entry.set("values", std::move(values));
-    devices.push_back(std::move(entry));
+    out.begin_object()
+        .member("name", device.name)
+        .member("kind", device.kind)
+        .key("values")
+        .begin_object();
+    // The only member names that come from data: a repeated name keeps its
+    // first position and takes its last value, one member per name.
+    const auto& values = device.values;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const std::string& name = values[i].first;
+      const auto same_name = [&](const auto& entry) { return entry.first == name; };
+      if (std::any_of(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(i),
+                      same_name)) {
+        continue;
+      }
+      const auto last = std::find_if(values.rbegin(), values.rend(), same_name);
+      out.hex_member(name, last->second);
+    }
+    out.end_object().end_object();
   }
-  out.set("devices", std::move(devices));
-  out.set("newton_iterations", result.newton_iterations);
-  out.set("gmin_steps", result.gmin_steps);
-  out.set("source_steps", result.source_steps);
-  out.set("fresh_factorizations", static_cast<double>(result.fresh_factorizations));
-  out.set("pivot_escalations", static_cast<double>(result.pivot_escalations));
-  out.set("degraded", result.degraded);
-  out.set("max_residual", hex_double(result.max_residual));
-  out.set("engine_seconds", result.seconds);
-  return out;
+  out.end_array()
+      .member("newton_iterations", result.newton_iterations)
+      .member("gmin_steps", result.gmin_steps)
+      .member("source_steps", result.source_steps)
+      .member("fresh_factorizations", static_cast<double>(result.fresh_factorizations))
+      .member("pivot_escalations", static_cast<double>(result.pivot_escalations))
+      .member("degraded", result.degraded)
+      .hex_member("max_residual", result.max_residual)
+      .member("engine_seconds", result.seconds)
+      .end_object();
+  return out.take();
 }
 
 Json to_json(const SweepResponse& response) {
-  Json out = envelope("sweep", Status());
-  out.set("from_cache", response.from_cache);
-  out.set("seconds", response.seconds);
-  out.set("degraded", response.degraded);
-  Json points = Json::array();
+  JsonWriter out(256 + 128 * response.points.size());
+  begin_envelope(out, "sweep", Status());
+  out.member("from_cache", response.from_cache)
+      .member("seconds", response.seconds)
+      .member("degraded", response.degraded)
+      .key("points")
+      .begin_array();
   for (const mna::BodePoint& point : response.points) {
-    Json entry = Json::object();
-    entry.set("frequency_hz", point.frequency_hz);
-    entry.set("real", point.value.real());
-    entry.set("imag", point.value.imag());
-    entry.set("magnitude_db", point.magnitude_db);
-    entry.set("phase_deg", point.phase_deg);
-    points.push_back(std::move(entry));
+    out.begin_object()
+        .member("frequency_hz", point.frequency_hz)
+        .member("real", point.value.real())
+        .member("imag", point.value.imag())
+        .member("magnitude_db", point.magnitude_db)
+        .member("phase_deg", point.phase_deg)
+        .end_object();
   }
-  out.set("points", std::move(points));
-  return out;
+  out.end_array().end_object();
+  return out.take();
 }
 
 Json to_json(const PolesZerosResponse& response) {
-  Json out = envelope("poles_zeros", Status());
-  out.set("from_cache", response.from_cache);
-  out.set("seconds", response.seconds);
-  Json poles = Json::array();
-  for (const auto& pole : response.poles) poles.push_back(complex_to_json(pole));
-  Json zeros = Json::array();
-  for (const auto& zero : response.zeros) zeros.push_back(complex_to_json(zero));
-  out.set("poles", std::move(poles));
-  out.set("zeros", std::move(zeros));
-  out.set("poles_converged", response.poles_converged);
-  out.set("zeros_converged", response.zeros_converged);
-  return out;
+  JsonWriter out(256 + 64 * (response.poles.size() + response.zeros.size()));
+  begin_envelope(out, "poles_zeros", Status());
+  out.member("from_cache", response.from_cache)
+      .member("seconds", response.seconds)
+      .key("poles")
+      .begin_array();
+  for (const auto& pole : response.poles) write_complex(out, pole);
+  out.end_array().key("zeros").begin_array();
+  for (const auto& zero : response.zeros) write_complex(out, zero);
+  out.end_array()
+      .member("poles_converged", response.poles_converged)
+      .member("zeros_converged", response.zeros_converged)
+      .end_object();
+  return out.take();
 }
 
 Json to_json(const BatchResponse& response) {
-  Json out = envelope("batch", Status());
-  out.set("seconds", response.seconds);
-  Json items = Json::array();
+  std::size_t size_hint = 256;
   for (const BatchItemResponse& item : response.items) {
-    items.push_back(item.status.ok() ? to_json(item.response)
-                                     : error_response("refgen", item.status));
+    size_hint += item.status.ok() ? reference_size_hint(item.response.result.reference) : 256;
   }
-  out.set("items", std::move(items));
-  return out;
+  JsonWriter out(size_hint);
+  begin_envelope(out, "batch", Status());
+  out.member("seconds", response.seconds).key("items").begin_array();
+  for (const BatchItemResponse& item : response.items) {
+    if (item.status.ok()) {
+      write_refgen(out, item.response);
+    } else {
+      write_error(out, "refgen", item.status);
+    }
+  }
+  out.end_array().end_object();
+  return out.take();
 }
 
 Json to_json(const ParamSweepResponse& response) {
-  Json out = envelope("param_sweep", Status());
-  out.set("from_cache", response.from_cache);
-  out.set("seconds", response.seconds);
   const mna::ParamSweepResult& result = response.result;
-  Json names = Json::array();
-  for (const std::string& name : result.names) names.push_back(name);
-  out.set("names", std::move(names));
-  Json frequencies = Json::array();
-  for (const double f : result.frequencies_hz) frequencies.push_back(f);
-  out.set("frequencies_hz", std::move(frequencies));
-  out.set("fresh_factorizations", static_cast<double>(result.fresh_factorizations));
-  out.set("op_solves", static_cast<double>(result.op_solves));
-  out.set("newton_iterations", static_cast<double>(result.newton_iterations));
-  out.set("engine_seconds", result.seconds);
-
   const std::size_t width = result.names.size();
   const std::size_t points = result.frequencies_hz.size();
-  Json samples = Json::array();
   const std::size_t count = width == 0 ? 0 : result.values.size() / width;
+  JsonWriter out(512 + 32 * (width + points) + count * (32 + 24 * width + 96 * points));
+  begin_envelope(out, "param_sweep", Status());
+  out.member("from_cache", response.from_cache)
+      .member("seconds", response.seconds)
+      .key("names")
+      .begin_array();
+  for (const std::string& name : result.names) out.value(name);
+  out.end_array().key("frequencies_hz").begin_array();
+  for (const double f : result.frequencies_hz) out.value(f);
+  out.end_array()
+      .member("fresh_factorizations", static_cast<double>(result.fresh_factorizations))
+      .member("op_solves", static_cast<double>(result.op_solves))
+      .member("newton_iterations", static_cast<double>(result.newton_iterations))
+      .member("engine_seconds", result.seconds)
+      .key("samples")
+      .begin_array();
   for (std::size_t i = 0; i < count; ++i) {
-    Json sample = Json::object();
-    Json values = Json::array();
-    for (std::size_t j = 0; j < width; ++j) values.push_back(result.values[i * width + j]);
-    sample.set("values", std::move(values));
-    sample.set("ok", i < result.ok.size() && result.ok[i] != 0);
-    Json points_json = Json::array();
+    out.begin_object().key("values").begin_array();
+    for (std::size_t j = 0; j < width; ++j) out.value(result.values[i * width + j]);
+    out.end_array()
+        .member("ok", i < result.ok.size() && result.ok[i] != 0)
+        .key("response")
+        .begin_array();
     for (std::size_t k = 0; k < points; ++k) {
       const std::complex<double> h = result.response[i * points + k];
-      Json point = Json::object();
       // Hex floats: bit-exact across the wire (and hex "nan" for the
       // points of a failed sample), like the reference coefficients.
-      point.set("real", hex_double(h.real()));
-      point.set("imag", hex_double(h.imag()));
-      point.set("magnitude_db", mna::magnitude_db(h));
-      points_json.push_back(std::move(point));
+      out.begin_object()
+          .hex_member("real", h.real())
+          .hex_member("imag", h.imag())
+          .member("magnitude_db", mna::magnitude_db(h))
+          .end_object();
     }
-    sample.set("response", std::move(points_json));
-    samples.push_back(std::move(sample));
+    out.end_array().end_object();
   }
-  out.set("samples", std::move(samples));
-  return out;
+  out.end_array().end_object();
+  return out.take();
 }
 
 Json to_json(const TransientResponse& response) {
-  Json out = envelope("transient", Status());
-  out.set("from_cache", response.from_cache);
-  out.set("seconds", response.seconds);
   const transient::TransientResult& result = response.result;
-  out.set("steps", result.steps);
-  out.set("lte_rejections", result.lte_rejections);
-  out.set("newton_iterations", result.newton_iterations);
-  out.set("step_size_buckets", result.step_size_buckets);
-  out.set("fresh_factorizations", static_cast<double>(result.fresh_factorizations));
-  out.set("pivot_escalations", static_cast<double>(result.pivot_escalations));
-  out.set("degraded", result.degraded);
-  out.set("engine_seconds", result.seconds);
-  Json nodes = Json::array();
-  for (const std::string& name : result.node_names) nodes.push_back(name);
-  out.set("nodes", std::move(nodes));
-  Json branches = Json::array();
-  for (const std::string& name : result.branch_names) branches.push_back(name);
-  out.set("branches", std::move(branches));
-  Json points = Json::array();
+  const std::size_t width = result.states.empty() ? 0 : result.states.front().size();
+  JsonWriter out(1024 + 32 * (result.node_names.size() + result.branch_names.size()) +
+                 result.times.size() * (64 + 24 * width));
+  begin_envelope(out, "transient", Status());
+  out.member("from_cache", response.from_cache)
+      .member("seconds", response.seconds)
+      .member("steps", result.steps)
+      .member("lte_rejections", result.lte_rejections)
+      .member("newton_iterations", result.newton_iterations)
+      .member("step_size_buckets", result.step_size_buckets)
+      .member("fresh_factorizations", static_cast<double>(result.fresh_factorizations))
+      .member("pivot_escalations", static_cast<double>(result.pivot_escalations))
+      .member("degraded", result.degraded)
+      .member("engine_seconds", result.seconds)
+      .key("nodes")
+      .begin_array();
+  for (const std::string& name : result.node_names) out.value(name);
+  out.end_array().key("branches").begin_array();
+  for (const std::string& name : result.branch_names) out.value(name);
+  out.end_array().key("points").begin_array();
   for (std::size_t k = 0; k < result.times.size(); ++k) {
-    Json point = Json::object();
     // Hex floats: the 1-vs-N-thread and daemon-vs-CLI byte-compares ride on
     // bit-exactness; "time" is the plot-friendly approximation.
-    point.set("t", hex_double(result.times[k]));
-    point.set("time", result.times[k]);
-    Json values = Json::array();
-    for (const double x : result.states[k]) values.push_back(hex_double(x));
-    point.set("v", std::move(values));
-    points.push_back(std::move(point));
+    out.begin_object()
+        .hex_member("t", result.times[k])
+        .member("time", result.times[k])
+        .key("v")
+        .begin_array();
+    for (const double x : result.states[k]) out.hex(x);
+    out.end_array().end_object();
   }
-  out.set("points", std::move(points));
-  return out;
+  out.end_array().end_object();
+  return out.take();
 }
-
-namespace {
-
-Json simplified_terms_to_json(const std::vector<refgen::SimplifiedTerm>& terms) {
-  // Member lists are sized up front: a simplify payload carries ~10k
-  // terms, and growing each list one push at a time dominated the encode.
-  Json::Array out;
-  out.reserve(terms.size());
-  for (const refgen::SimplifiedTerm& term : terms) {
-    Json::Object entry;
-    entry.reserve(4);
-    entry.emplace_back("coefficient", term.coefficient);
-    entry.emplace_back("symbols", Json::Array(term.symbols.begin(), term.symbols.end()));
-    entry.emplace_back("s_power", term.s_power);
-    entry.emplace_back("value", scaled_to_json(term.value));
-    out.emplace_back(std::move(entry));
-  }
-  return out;
-}
-
-}  // namespace
 
 Json to_json(const SimplifyResponse& response) {
-  Json out = envelope("simplify", Status());
-  out.set("from_cache", response.from_cache);
-  out.set("seconds", response.seconds);
   const refgen::SimplifyResult& result = response.result;
-  out.set("engine_seconds", result.seconds);
-  out.set("reduced_dim", result.reduced_dim);
-  out.set("reduced_elements", static_cast<double>(result.reduced_elements));
-  out.set("original_elements", static_cast<double>(result.original_elements));
-  out.set("enumerated_terms", static_cast<double>(result.enumerated_terms));
-  out.set("kept_terms", static_cast<double>(result.kept_terms));
-  out.set("terms_dropped", static_cast<double>(result.terms_dropped));
-  out.set("term_evals", static_cast<double>(result.term_evals));
-  out.set("ranking_fresh_factorizations",
-          static_cast<double>(result.ranking_fresh_factorizations));
-  Json actions = Json::array();
+  JsonWriter out(4096 + 64 * result.prune_actions.size() +
+                 64 * result.certificate.frequencies_hz.size() +
+                 result.numerator_expression.size() + result.denominator_expression.size() +
+                 terms_size_hint(result.numerator_terms) +
+                 terms_size_hint(result.denominator_terms));
+  begin_envelope(out, "simplify", Status());
+  out.member("from_cache", response.from_cache)
+      .member("seconds", response.seconds)
+      .member("engine_seconds", result.seconds)
+      .member("reduced_dim", result.reduced_dim)
+      .member("reduced_elements", static_cast<double>(result.reduced_elements))
+      .member("original_elements", static_cast<double>(result.original_elements))
+      .member("enumerated_terms", static_cast<double>(result.enumerated_terms))
+      .member("kept_terms", static_cast<double>(result.kept_terms))
+      .member("terms_dropped", static_cast<double>(result.terms_dropped))
+      .member("term_evals", static_cast<double>(result.term_evals))
+      .member("ranking_fresh_factorizations",
+              static_cast<double>(result.ranking_fresh_factorizations))
+      .key("prune_actions")
+      .begin_array();
   for (const refgen::SimplifyPruneAction& action : result.prune_actions) {
-    Json entry = Json::object();
-    entry.set("element", action.element);
-    entry.set("op", action.op);
-    entry.set("error_after", action.error_after);
-    actions.push_back(std::move(entry));
+    out.begin_object()
+        .member("element", action.element)
+        .member("op", action.op)
+        .member("error_after", action.error_after)
+        .end_object();
   }
-  out.set("prune_actions", std::move(actions));
-  Json certificate = Json::object();
-  certificate.set("error_budget", result.certificate.error_budget);
-  certificate.set("max_relative_error", hex_double(result.certificate.max_relative_error));
-  Json points = Json::array();
+  out.end_array()
+      .key("certificate")
+      .begin_object()
+      .member("error_budget", result.certificate.error_budget)
+      .hex_member("max_relative_error", result.certificate.max_relative_error)
+      .key("points")
+      .begin_array();
   for (std::size_t i = 0; i < result.certificate.frequencies_hz.size(); ++i) {
-    Json point = Json::object();
-    point.set("frequency_hz", result.certificate.frequencies_hz[i]);
     // Hex floats: the daemon-vs-CLI byte-compare rides on bit-exactness.
-    point.set("relative_error", hex_double(result.certificate.relative_error[i]));
-    points.push_back(std::move(point));
+    out.begin_object()
+        .member("frequency_hz", result.certificate.frequencies_hz[i])
+        .hex_member("relative_error", result.certificate.relative_error[i])
+        .end_object();
   }
-  certificate.set("points", std::move(points));
-  out.set("certificate", std::move(certificate));
-  out.set("numerator_expression", result.numerator_expression);
-  out.set("denominator_expression", result.denominator_expression);
-  out.set("numerator_terms", simplified_terms_to_json(result.numerator_terms));
-  out.set("denominator_terms", simplified_terms_to_json(result.denominator_terms));
-  return out;
+  out.end_array()
+      .end_object()
+      .member("numerator_expression", result.numerator_expression)
+      .member("denominator_expression", result.denominator_expression)
+      .key("numerator_terms");
+  write_simplified_terms(out, result.numerator_terms);
+  out.key("denominator_terms");
+  write_simplified_terms(out, result.denominator_terms);
+  out.end_object();
+  return out.take();
 }
 
 Json error_response(const char* type, const Status& status) {
-  return envelope(type, status);
+  JsonWriter out(96 + status.message().size());
+  write_error(out, type, status);
+  return out.take();
 }
 
 Result<mna::TransferSpec> spec_from_json(const Json& json) {

@@ -23,11 +23,8 @@ namespace symref::api {
 
 // --- Encoding ---------------------------------------------------------------
 
-/// Hex-float text of a double, byte for byte what glibc's "%a" prints:
-/// "0x1.<hex>p±e" (trailing zero nibbles trimmed) for normal values,
-/// "0x0p+0"/"-0x0p+0" for zeros, "0x0.<hex>p-1022" for subnormals, and
-/// "inf"/"-inf"/"nan"/"-nan" for the non-finite values. Bit-exact and
-/// readable by strtod / Python's float.fromhex.
+/// Hex-float text of a double as a string (append_hex_double in
+/// api/json.h has the grammar; the encoders append in place).
 std::string hex_double(double value);
 
 /// {"code": "parse_error", "message": "...", "line": 3, "column": 7}
@@ -41,6 +38,10 @@ Json to_json(const refgen::NumericalReference& reference);
 
 /// Response payloads. Every response object carries "type" and "status";
 /// the remaining fields are type-specific and only present on success.
+/// Responses are written straight to wire text (JsonWriter) and come back
+/// as an encoded node: dump() gives the text, an indented dump() re-parses
+/// it, and find()/members() see nothing — parse the dump() to walk one.
+/// The Status and NumericalReference encoders above return the same kind.
 Json to_json(const RefgenResponse& response);
 /// Node voltages, branch currents and the per-device operating-point table
 /// are hex-float strings (bit-exact across the wire — the 1-vs-N-thread

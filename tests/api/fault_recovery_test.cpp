@@ -60,16 +60,24 @@ std::string ladder_netlist(int stages) {
   return text;
 }
 
-/// Response JSON with wall-clock fields removed — everything else must be
+/// Response tree with wall-clock fields removed — everything else must be
 /// bit-identical between a clean run and a fault-injected one.
-Json strip_timing(const Json& value) {
+Json without_timing(const Json& value) {
   if (!value.is_object()) return value;
   Json out = Json::object();
   for (const auto& [key, member] : value.members()) {
     if (key == "seconds" || key == "engine_seconds") continue;
-    out.set(key, strip_timing(member));
+    out.set(key, without_timing(member));
   }
   return out;
+}
+
+/// An encoded response minus wall-clock fields: its text is parsed first,
+/// because to_json's node is opaque to members().
+Json strip_timing(const Json& payload) {
+  Result<Json> tree = Json::parse(payload.dump());
+  EXPECT_TRUE(tree.ok()) << tree.status().to_string();
+  return tree.ok() ? without_timing(tree.value()) : Json();
 }
 
 std::uint64_t injected_count(const char* site) {

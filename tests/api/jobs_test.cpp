@@ -79,7 +79,10 @@ TEST(JobManager, SimplifyJobDeliversCertifiedResponse) {
   const auto& result = outcome.value()->simplify.result;
   EXPECT_LE(result.certificate.max_relative_error, 0.01);
   EXPECT_GT(result.kept_terms, 0u);
-  EXPECT_EQ(to_json(*outcome.value()).find("type")->as_string(), "simplify");
+  // The encoded payload is opaque to find(): walk its parsed text.
+  const Result<Json> payload = Json::parse(to_json(*outcome.value()).dump());
+  ASSERT_TRUE(payload.ok()) << payload.status().to_string();
+  EXPECT_EQ(payload.value().find("type")->as_string(), "simplify");
 }
 
 TEST(JobManager, ProgressAndDoneCallbacksFire) {

@@ -1,9 +1,11 @@
-// Minimal JSON value: build/dump/parse round trips and strict-parse errors.
+// JSON: tree build/dump/parse round trips, strict-parse errors, and the
+// response writer (JsonWriter) against the tree dump and the snprintf oracle.
 #include "api/json.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -117,6 +119,48 @@ TEST(JsonDifferential, NumbersMatchTheSnprintfOracle) {
   for (const std::string& example : examples) ADD_FAILURE() << example;
 }
 
+/// Integers where the fast path and the general %g rule meet: every
+/// integer in +-2^20, +-k*10^j (trailing zeros take the exponent style),
+/// seeded 53-bit integers, and the 2^53 boundary with -0.
+std::vector<double> integer_edges() {
+  std::vector<double> out;
+  for (int i = -(1 << 20); i <= (1 << 20); ++i) out.push_back(i);
+  for (int j = 0; j <= 22; ++j) {
+    for (int k = 1; k < 100; ++k) {
+      const double value = k * std::pow(10.0, j);
+      out.push_back(value);
+      out.push_back(-value);
+    }
+  }
+  wire_fixtures::SplitMix64 rng(0x1e7);
+  for (int i = 0; i < 200'000; ++i) {
+    const std::uint64_t bits = rng.next();
+    const auto magnitude = static_cast<double>((bits >> 11) >> (rng.next() % 53));
+    out.push_back((bits & 1) != 0 ? -magnitude : magnitude);
+  }
+  const double two53 = 9007199254740992.0;
+  for (const double value : {two53 - 1.0, two53, two53 + 2.0, -(two53 - 1.0), -two53,
+                             -(two53 + 2.0), -0.0, 0.0}) {
+    out.push_back(value);
+  }
+  return out;
+}
+
+TEST(JsonDifferential, IntegersMatchTheSnprintfOracle) {
+  const std::vector<double> inputs = integer_edges();
+  std::vector<std::string> examples;
+  const std::size_t mismatches = wire_fixtures::differential_mismatches(
+      inputs, [](double value) { return Json(value).dump(); }, oracle_number, &examples);
+  EXPECT_EQ(mismatches, 0u) << "of " << inputs.size() << " inputs";
+  for (const std::string& example : examples) ADD_FAILURE() << example;
+  EXPECT_EQ(Json(300.0).dump(), "3e+02");
+  EXPECT_EQ(Json(-100000.0).dump(), "-1e+05");
+  EXPECT_EQ(Json(-0.0).dump(), "-0");
+  EXPECT_EQ(Json(0.0).dump(), "0");
+  EXPECT_EQ(Json(9007199254740991.0).dump(), "9007199254740991");
+  EXPECT_EQ(Json(-9007199254740991.0).dump(), "-9007199254740991");
+}
+
 TEST(JsonDifferential, SpecialNumbersEncodeAsBefore) {
   EXPECT_EQ(Json(-0.0).dump(), "-0");
   EXPECT_EQ(Json(5e-324).dump(), "5e-324");
@@ -142,6 +186,67 @@ TEST(JsonDifferential, EveryByteEscapesLikeTheOracle) {
   EXPECT_EQ(Json(all).dump(), oracle_string(all));
   EXPECT_EQ(Json(all + all).dump(), oracle_string(all + all));
   EXPECT_EQ(Json(std::string()).dump(), "\"\"");
+}
+
+TEST(JsonWriter, WritesTheBytesOfTheTreeDump) {
+  Json tree = Json::object();
+  tree.set("empty_array", Json::array());
+  tree.set("empty_object", Json::object());
+  Json list = Json::array();
+  list.push_back(1.5);
+  list.push_back(nullptr);
+  Json inner = Json::object();
+  inner.set("flag", false);
+  inner.set("text", "q\"uote\n");
+  list.push_back(std::move(inner));
+  list.push_back(Json::array());
+  tree.set("list", std::move(list));
+  tree.set("inf", std::numeric_limits<double>::infinity());
+  tree.set("count", 7);
+  tree.set("hex", "-0x1.8p+1");
+
+  JsonWriter out;
+  out.begin_object()
+      .key("empty_array")
+      .begin_array()
+      .end_array()
+      .key("empty_object")
+      .begin_object()
+      .end_object()
+      .key("list")
+      .begin_array()
+      .value(1.5)
+      .null()
+      .begin_object()
+      .member("flag", false)
+      .member("text", "q\"uote\n")
+      .end_object()
+      .begin_array()
+      .end_array()
+      .end_array()
+      .member("inf", std::numeric_limits<double>::infinity())
+      .member("count", 7)
+      .hex_member("hex", -3.0)
+      .end_object();
+  const Json encoded = out.take();
+  EXPECT_EQ(encoded.dump(), tree.dump());
+  EXPECT_EQ(encoded.dump(2), tree.dump(2));
+  EXPECT_EQ(*encoded.dump_shared(), tree.dump());
+  EXPECT_EQ(*tree.dump_shared(), tree.dump());
+}
+
+TEST(JsonWriter, TopLevelScalarsAndHexWords) {
+  JsonWriter number;
+  number.value(300.0);
+  EXPECT_EQ(number.take().dump(), "3e+02");
+  JsonWriter words;
+  words.begin_array()
+      .hex(std::numeric_limits<double>::infinity())
+      .hex(-std::numeric_limits<double>::infinity())
+      .hex(std::numeric_limits<double>::quiet_NaN())
+      .hex(-0.0)
+      .end_array();
+  EXPECT_EQ(words.take().dump(), R"(["inf","-inf","nan","-0x0p+0"])");
 }
 
 TEST(Json, ParseDocument) {
@@ -186,6 +291,9 @@ TEST(Json, EncodedNodeSplicesItsText) {
   Json nested = Json::object();
   nested.set("note", "quote \" and\nnewline");
   nested.set("empty", Json::array());
+  nested.set("empty_object", Json::object());
+  // Structural characters and escapes inside strings are not layout.
+  nested.set("tricky", Json::array().push_back("a\\\"{,}:[]\\").push_back("\\"));
   payload.set("nested", std::move(nested));
   const auto text = std::make_shared<const std::string>(payload.dump());
 

@@ -22,6 +22,14 @@ std::string oracle_hex(double value) {
   return buffer;
 }
 
+/// The tree of an encoded payload. to_json's node is opaque (find() sees
+/// nothing), so a test that walks a payload parses its text first.
+Json parsed(const Json& payload) {
+  Result<Json> tree = Json::parse(payload.dump());
+  EXPECT_TRUE(tree.ok()) << tree.status().to_string();
+  return tree.ok() ? tree.take() : Json();
+}
+
 TEST(SerializeHexDouble, MatchesPrintfPercentA) {
   std::vector<double> inputs = wire_fixtures::seeded_doubles(1'000'000, 0x5eed);
   for (const double value : wire_fixtures::special_doubles()) inputs.push_back(value);
@@ -216,7 +224,7 @@ TEST(SerializeResponse, SimplifyPayloadShape) {
   const auto response = service.simplify(handle, request);
   ASSERT_TRUE(response.ok()) << response.status().to_string();
 
-  const Json payload = to_json(response.value());
+  const Json payload = parsed(to_json(response.value()));
   EXPECT_EQ(payload.find("type")->as_string(), "simplify");
   EXPECT_EQ(payload.find("status")->find("code")->as_string(), "ok");
   const Json* certificate = payload.find("certificate");
@@ -246,7 +254,7 @@ TEST(SerializeResponse, RefgenPayloadShape) {
       service.refgen(handle, {mna::TransferSpec::voltage_gain("in", "out"), {}});
   ASSERT_TRUE(response.ok()) << response.status().to_string();
 
-  const Json payload = to_json(response.value());
+  const Json payload = parsed(to_json(response.value()));
   EXPECT_EQ(payload.find("type")->as_string(), "refgen");
   EXPECT_EQ(payload.find("status")->find("code")->as_string(), "ok");
   EXPECT_TRUE(payload.find("complete")->as_bool());
@@ -364,7 +372,7 @@ TEST(SerializeResponse, ParamSweepCarriesHexFloatPoints) {
   response.result.ok = {1, 1};
   response.result.fresh_factorizations = 1;
 
-  const Json payload = to_json(response);
+  const Json payload = parsed(to_json(response));
   EXPECT_EQ(payload.find("type")->as_string(), "param_sweep");
   EXPECT_EQ(payload.find("fresh_factorizations")->as_number(), 1.0);
   ASSERT_EQ(payload.find("samples")->size(), 2u);
@@ -424,7 +432,7 @@ TEST(SerializeResponse, OpPayloadShape) {
   const auto response = service.op(handle, {});
   ASSERT_TRUE(response.ok()) << response.status().to_string();
 
-  const Json payload = to_json(response.value());
+  const Json payload = parsed(to_json(response.value()));
   EXPECT_EQ(payload.find("type")->as_string(), "op");
   EXPECT_EQ(payload.find("status")->find("code")->as_string(), "ok");
   EXPECT_GT(payload.find("newton_iterations")->as_int(), 0);
@@ -444,11 +452,24 @@ TEST(SerializeResponse, OpPayloadShape) {
 }
 
 TEST(SerializeResponse, ErrorEnvelope) {
-  const Json payload = error_response(
-      "sweep", Status::error(StatusCode::kSingularSystem, "no pivot"));
+  const Json payload =
+      parsed(error_response("sweep", Status::error(StatusCode::kSingularSystem, "no pivot")));
   EXPECT_EQ(payload.find("type")->as_string(), "sweep");
   EXPECT_EQ(payload.find("status")->find("code")->as_string(), "singular_system");
   EXPECT_EQ(payload.find("points"), nullptr);
+}
+
+TEST(SerializeResponse, OpRepeatedDeviceValueKeepsFirstPositionAndLastValue) {
+  OpResponse response;
+  dc::OpDeviceInfo device;
+  device.name = "q1";
+  device.kind = "bjt";
+  device.values = {{"ic", 1.0}, {"gm", 2.0}, {"ic", 3.0}, {"ro", 4.0}, {"gm", 0.5}};
+  response.result.devices.push_back(device);
+  const Json payload = parsed(to_json(response));
+  const Json* values = payload.find("devices")->items()[0].find("values");
+  ASSERT_NE(values, nullptr);
+  EXPECT_EQ(values->dump(), R"({"ic":"0x1.8p+1","gm":"0x1p-1","ro":"0x1p+2"})");
 }
 
 }  // namespace

@@ -1,14 +1,15 @@
 // Seeded inputs shared by the wire-encoder tests: a splitmix64 stream of
 // doubles for the differential tests (json_test, serialize_test) and the
-// synthetic responses behind the golden wire-bytes fixture
-// (wire_golden_test). Everything here is deterministic and engine-free:
-// the same seed builds the same values on every host.
+// synthetic responses, statuses and job outcomes behind the golden
+// wire-bytes fixtures (wire_golden_test). Everything here is deterministic
+// and engine-free: the same seed builds the same values on every host.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cfloat>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,7 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "api/jobs.h"
 #include "api/requests.h"
+#include "api/status.h"
 
 namespace symref::api::wire_fixtures {
 
@@ -344,6 +347,76 @@ inline OpResponse op_response() {
   result.max_residual = 3.5e-15;
   result.seconds = 4e-3;
   return response;
+}
+
+inline PolesZerosResponse poles_zeros_response() {
+  FiniteSource source(606);
+  PolesZerosResponse response;
+  response.from_cache = true;
+  response.seconds = 0.0625;
+  for (int i = 0; i < 12; ++i) {
+    response.poles.emplace_back(any_double(source, i), source.next());
+    if (i % 2 == 0) response.zeros.emplace_back(source.next(), any_double(source, i + 3));
+  }
+  response.poles_converged = true;
+  response.zeros_converged = false;
+  return response;
+}
+
+/// Three samples over four probe points; the middle sample failed, so its
+/// points are (NaN, NaN) and encode as hex "nan" with "ok":false.
+inline ParamSweepResponse param_sweep_response() {
+  FiniteSource source(707);
+  ParamSweepResponse response;
+  response.seconds = 0.125;
+  mna::ParamSweepResult& result = response.result;
+  result.names = {"ccomp", "r\"load\""};
+  for (int k = 0; k < 4; ++k) result.frequencies_hz.push_back(source.next());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < result.names.size(); ++j) {
+      result.values.push_back(any_double(source, i * 2 + static_cast<int>(j)));
+    }
+    const bool ok = i != 1;
+    result.ok.push_back(ok ? 1 : 0);
+    for (int k = 0; k < 4; ++k) {
+      result.response.emplace_back(ok ? std::complex<double>(source.next(), source.next())
+                                      : std::complex<double>(nan, nan));
+    }
+  }
+  result.fresh_factorizations = 1;
+  result.op_solves = 4;
+  result.newton_iterations = 23;
+  result.seconds = 0.0875;
+  return response;
+}
+
+/// A status whose message needs escaping, with a known line and column.
+inline Status located_error() {
+  return Status::error(StatusCode::kParseError,
+                       "netlist: bad token \"1k\\x\"\tnear\nR1 \x01\x7f \xc2\xb5", {12, 7});
+}
+
+/// One ok item and one failed item.
+inline BatchResponse batch_response() {
+  BatchResponse response;
+  response.seconds = 0.5;
+  BatchItemResponse ok;
+  ok.response = refgen_response();
+  response.items.push_back(std::move(ok));
+  BatchItemResponse failed;
+  failed.status = Status::error(StatusCode::kSingularSystem, "no pivot in column \"3\"");
+  response.items.push_back(std::move(failed));
+  return response;
+}
+
+/// A finished job that failed: its wire form is the uniform error payload.
+inline JobOutcome error_outcome() {
+  JobOutcome outcome;
+  outcome.type = AnyRequest::Type::kParamSweep;
+  outcome.status = Status::error(StatusCode::kDeadlineExceeded,
+                                 "deadline of 5 ms exceeded after \"2\" attempts\\retries");
+  return outcome;
 }
 
 }  // namespace symref::api::wire_fixtures

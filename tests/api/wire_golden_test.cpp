@@ -1,8 +1,11 @@
 // Golden wire bytes: synthetic responses (seeded and extreme values, no
 // engine run) must encode to exactly the recorded compact dump().
 //
-// The fixtures under tests/data/ were recorded with the snprintf-based
-// encoder the wire format was defined by. Every other byte-compare in the
+// The refgen, sweep, simplify, transient and op fixtures under tests/data/
+// were recorded with the snprintf-based encoder the wire format was
+// defined by; the poles_zeros, param_sweep, batch, error and job_error
+// fixtures with the tree encoder (Json::Object/Array builders plus dump())
+// that preceded JsonWriter. Every other byte-compare in the
 // repo (CLI vs daemon, threads, kernels, the benchmark oracle) runs the
 // same encoder on both sides, so only this test sees an encoder drift.
 // Never re-record the fixtures from the encoder under test.
@@ -13,6 +16,7 @@
 #include <sstream>
 #include <string>
 
+#include "api/jobs.h"
 #include "api/serialize.h"
 #include "wire_fixtures.h"
 
@@ -55,6 +59,26 @@ TEST(WireGolden, Transient) {
 }
 
 TEST(WireGolden, Op) { expect_golden("op", to_json(wire_fixtures::op_response())); }
+
+TEST(WireGolden, PolesZeros) {
+  expect_golden("poles_zeros", to_json(wire_fixtures::poles_zeros_response()));
+}
+
+TEST(WireGolden, ParamSweepWithFailedSample) {
+  expect_golden("param_sweep", to_json(wire_fixtures::param_sweep_response()));
+}
+
+TEST(WireGolden, BatchWithErrorItem) {
+  expect_golden("batch", to_json(wire_fixtures::batch_response()));
+}
+
+TEST(WireGolden, ErrorResponseWithLocation) {
+  expect_golden("error", error_response("simplify", wire_fixtures::located_error()));
+}
+
+TEST(WireGolden, ErrorJobOutcome) {
+  expect_golden("job_error", to_json(wire_fixtures::error_outcome()));
+}
 
 }  // namespace
 }  // namespace symref::api

@@ -127,14 +127,22 @@ TEST_F(TransientReplayTest, AdaptiveRunAccountsEveryFreshFactorizationToABucket)
 
 // --- Determinism across execution knobs ------------------------------------
 
-/// Response JSON with wall-clock fields removed — everything else must be
+/// The tree of an encoded response: to_json's node is opaque to
+/// find()/members(), so a test that walks a payload parses its text first.
+api::Json parsed(const api::Json& payload) {
+  api::Result<api::Json> tree = api::Json::parse(payload.dump());
+  EXPECT_TRUE(tree.ok()) << tree.status().to_string();
+  return tree.ok() ? tree.take() : api::Json();
+}
+
+/// Response tree with wall-clock fields removed — everything else must be
 /// bit-identical across runs.
-api::Json strip_timing(const api::Json& value) {
+api::Json without_timing(const api::Json& value) {
   if (!value.is_object()) return value;
   api::Json out = api::Json::object();
   for (const auto& [key, member] : value.members()) {
     if (key == "seconds" || key == "engine_seconds") continue;
-    out.set(key, strip_timing(member));
+    out.set(key, without_timing(member));
   }
   return out;
 }
@@ -153,7 +161,7 @@ TEST_F(TransientReplayTest, SerializedResponseIsByteIdenticalAcrossThreadCounts)
     auto response = service.transient(compiled.value(), request);
     ASSERT_TRUE(response.ok()) << response.status().to_string();
     EXPECT_FALSE(response.value().from_cache);
-    const std::string text = strip_timing(api::to_json(response.value())).dump();
+    const std::string text = without_timing(parsed(api::to_json(response.value()))).dump();
     if (baseline.empty()) {
       baseline = text;
     } else {
@@ -229,8 +237,8 @@ TEST_F(TransientReplayTest, FaultedServiceResponseSerializesTheSameWaveform) {
   auto faulty = service.transient(faulty_handle.value(), request);
   ASSERT_TRUE(faulty.ok()) << faulty.status().to_string();
 
-  const api::Json clean_json = api::to_json(clean.value());
-  const api::Json faulty_json = api::to_json(faulty.value());
+  const api::Json clean_json = parsed(api::to_json(clean.value()));
+  const api::Json faulty_json = parsed(api::to_json(faulty.value()));
   ASSERT_NE(clean_json.find("points"), nullptr);
   ASSERT_NE(faulty_json.find("points"), nullptr);
   EXPECT_EQ(clean_json.find("points")->dump(), faulty_json.find("points")->dump());
